@@ -24,24 +24,28 @@ decompositions class by class yields
     C_{n+1} = sum_k binom(n, 2k) 2^(n-2k) C_k   and
     C_{n+1} = sum_k binom(n, k) M_k.
 
-All maps are pure; outputs are re-checked on construction in debug
-runs (see ``words``).  Position indices in decompositions and in their
-line formats are 1-based.
+All maps are pure and work on the words' text.  Their inputs are valid
+words of their domain, and they build their outputs through the trusted
+constructor of ``words`` without re-checking them: each docstring gives
+the reason the output is valid, and ``touchard verify`` checks it on
+every word up to its bound.  Decompositions check their structure
+whenever they are built.  Position indices in decompositions and in
+their line formats are 1-based.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add, ge
+from typing import Iterable
 
 from .words import (
+    STEP,
     DyckWord,
     GWord,
-    Letter,
     MotzkinWord,
     RestrictedGWord,
-    parse_letters,
-    prefix_sums,
     validate_dyck,
     validate_motzkin,
 )
@@ -51,13 +55,8 @@ class InvalidDecomposition(ValueError):
     """A decomposition's fields are structurally inconsistent."""
 
 
-_PAIR_TO_LETTER = {
-    (Letter.UP, Letter.UP): Letter.UP,
-    (Letter.UP, Letter.DOWN): Letter.GREEN_ZERO,
-    (Letter.DOWN, Letter.UP): Letter.RED_ZERO,
-    (Letter.DOWN, Letter.DOWN): Letter.DOWN,
-}
-_LETTER_TO_PAIR = {letter: pair for pair, letter in _PAIR_TO_LETTER.items()}
+_PAIR_TO_LETTER = {"UU": "U", "UD": "G", "DU": "R", "DD": "D"}
+_LETTER_TO_PAIR = str.maketrans({letter: pair for pair, letter in _PAIR_TO_LETTER.items()})
 
 
 def pair_encode(word: DyckWord) -> RestrictedGWord:
@@ -68,21 +67,16 @@ def pair_encode(word: DyckWord) -> RestrictedGWord:
     prefix sums, so the result is again balanced and non-negative, and
     every red zero lands strictly above ground level.
     """
-    letters = word.letters
-    if not letters:
+    text = word.text
+    if not text:
         raise ValueError("pair encoding needs at least one letter pair")
-    encoded = tuple(
-        _PAIR_TO_LETTER[letters[i], letters[i + 1]] for i in range(0, len(letters), 2)
-    )
-    return RestrictedGWord(encoded)
+    pairs = map(add, text[::2], text[1::2])
+    return RestrictedGWord._trusted("".join(map(_PAIR_TO_LETTER.__getitem__, pairs)))
 
 
 def pair_decode(word: RestrictedGWord) -> DyckWord:
     """Expand each bicolored letter back into its two-letter Dyck block."""
-    expanded: list[Letter] = []
-    for letter in word.letters:
-        expanded.extend(_LETTER_TO_PAIR[letter])
-    return DyckWord(tuple(expanded))
+    return DyckWord._trusted(word.text.translate(_LETTER_TO_PAIR))
 
 
 def drop_restriction(word: RestrictedGWord) -> GWord:
@@ -95,16 +89,19 @@ def drop_restriction(word: RestrictedGWord) -> GWord:
     That red zero lands at ground level, ahead of any other ground-level
     red zero in the result.
     """
-    letters = word.letters
-    if letters[-1] is Letter.GREEN_ZERO:
-        return GWord(letters[:-1])
-    sums = prefix_sums(letters)
-    cut = 0  # length of the longest proper prefix returning to ground
-    for i in range(len(letters) - 1):
-        if sums[i] == 0:
-            cut = i + 1
-    assert letters[cut] is Letter.UP
-    return GWord(letters[:cut] + (Letter.RED_ZERO,) + letters[cut + 1 : -1])
+    text = word.text
+    if text[-1] == "G":
+        return GWord._trusted(text[:-1])
+    # Walk back from the final down-step: ``depth``, the height before
+    # letter ``cut``, first returns to zero at the up-step opening the last arch.
+    depth = 0
+    cut = len(text) - 1
+    while True:
+        depth -= STEP[text[cut]]
+        if depth == 0:
+            break
+        cut -= 1
+    return GWord._trusted(text[:cut] + "R" + text[cut + 1 : -1])
 
 
 def raise_restriction(word: GWord) -> RestrictedGWord:
@@ -114,15 +111,17 @@ def raise_restriction(word: GWord) -> RestrictedGWord:
     replace the first ground-level red zero with an up-step and append a
     down-step, rebuilding the arch that ``drop_restriction`` removed.
     """
-    letters = word.letters
+    text = word.text
     height = 0
-    for i, letter in enumerate(letters):
-        if letter is Letter.RED_ZERO and height == 0:
-            return RestrictedGWord(
-                letters[:i] + (Letter.UP,) + letters[i + 1 :] + (Letter.DOWN,)
-            )
-        height += letter.step
-    return RestrictedGWord(letters + (Letter.GREEN_ZERO,))
+    start = 0
+    red = text.find("R")
+    while red >= 0:
+        height += text.count("U", start, red) - text.count("D", start, red)
+        if height == 0:
+            return RestrictedGWord._trusted(text[:red] + "U" + text[red + 1 :] + "D")
+        start = red
+        red = text.find("R", red + 1)
+    return RestrictedGWord._trusted(text + "G")
 
 
 def catalan_to_g(word: DyckWord) -> GWord:
@@ -135,7 +134,21 @@ def g_to_catalan(word: GWord) -> DyckWord:
     return pair_decode(raise_restriction(word))
 
 
-@dataclass(frozen=True)
+def _check_slots(positions: tuple[int, ...], n: int, name: str) -> None:
+    """Raise InvalidDecomposition unless ``positions`` increase strictly within 1..n.
+
+    An out-of-range position is reported ahead of a misordered one.
+    """
+    if not positions:
+        return
+    if positions[0] >= 1 and positions[-1] <= n and not any(map(ge, positions, positions[1:])):
+        return
+    if min(positions) < 1 or max(positions) > n:
+        raise InvalidDecomposition(f"{name} must lie in 1..{n}")
+    raise InvalidDecomposition(f"{name} must be strictly increasing")
+
+
+@dataclass(frozen=True, init=False)
 class TouchardDecomposition:
     """A G-word split by the support of its up/down letters.
 
@@ -150,20 +163,19 @@ class TouchardDecomposition:
     core: DyckWord
     colors: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(self.positions))
-        object.__setattr__(self, "colors", tuple(bool(c) for c in self.colors))
-        if len(self.positions) != 2 * self.core.semilength:
+    def __init__(self, n: int, positions: Iterable[int], core: DyckWord, colors: Iterable[bool]) -> None:
+        positions = tuple(positions)
+        colors = tuple(map(bool, colors))
+        if len(positions) != 2 * core.semilength:
             raise InvalidDecomposition("positions must hold one slot per core letter")
-        if len(self.colors) != self.n - len(self.positions):
+        if len(colors) != n - len(positions):
             raise InvalidDecomposition("colors must cover exactly the zero slots")
-        if any(p < 1 or p > self.n for p in self.positions):
-            raise InvalidDecomposition(f"positions must lie in 1..{self.n}")
-        if any(a >= b for a, b in zip(self.positions, self.positions[1:])):
-            raise InvalidDecomposition("positions must be strictly increasing")
+        _check_slots(positions, n, "positions")
+        # One write past the frozen __setattr__, instead of one call per field.
+        self.__dict__.update(n=n, positions=positions, core=core, colors=colors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MotzkinDecomposition:
     """A G-word split by the support of its red zeros.
 
@@ -177,29 +189,26 @@ class MotzkinDecomposition:
     red_positions: tuple[int, ...]
     core: MotzkinWord
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "red_positions", tuple(self.red_positions))
-        if len(self.red_positions) + len(self.core) != self.n:
+    def __init__(self, n: int, red_positions: Iterable[int], core: MotzkinWord) -> None:
+        red_positions = tuple(red_positions)
+        if len(red_positions) + len(core) != n:
             raise InvalidDecomposition("red slots and core letters must fill the word")
-        if any(p < 1 or p > self.n for p in self.red_positions):
-            raise InvalidDecomposition(f"red positions must lie in 1..{self.n}")
-        if any(a >= b for a, b in zip(self.red_positions, self.red_positions[1:])):
-            raise InvalidDecomposition("red positions must be strictly increasing")
+        _check_slots(red_positions, n, "red positions")
+        self.__dict__.update(n=n, red_positions=red_positions, core=core)
 
 
 def touchard_split(word: GWord) -> TouchardDecomposition:
-    """Extract the up/down support, the Dyck core, and the zero colors."""
-    positions = []
-    core = []
-    colors = []
-    for i, letter in enumerate(word.letters, start=1):
-        if letter.step != 0:
-            positions.append(i)
-            core.append(letter)
-        else:
-            colors.append(letter is Letter.RED_ZERO)
+    """Extract the up/down support, the Dyck core, and the zero colors.
+
+    The core is a Dyck word: dropping zeros keeps the sequence of prefix
+    sums at the remaining letters.
+    """
+    text = word.text
     return TouchardDecomposition(
-        len(word), tuple(positions), DyckWord(tuple(core)), tuple(colors)
+        len(text),
+        tuple([i for i, ch in enumerate(text, start=1) if ch in "UD"]),
+        DyckWord._trusted(text.translate(_ZEROS_DELETED)),
+        tuple(map("R".__eq__, text.translate(_STEPS_DELETED))),
     )
 
 
@@ -207,38 +216,35 @@ def touchard_merge(decomposition: TouchardDecomposition) -> GWord:
     """Reassemble the G-word; inverse of ``touchard_split``.
 
     Always yields a valid word: zeros do not move prefix sums, so the
-    assembled sums are the core's sums stretched out (checked on
-    construction in debug runs, not assumed).
+    assembled sums are the core's sums stretched out.
     """
-    filled = dict(zip(decomposition.positions, decomposition.core.letters))
-    letters = []
-    color = iter(decomposition.colors)
-    for i in range(1, decomposition.n + 1):
-        letter = filled.get(i)
-        if letter is None:
-            letter = Letter.RED_ZERO if next(color) else Letter.GREEN_ZERO
-        letters.append(letter)
-    return GWord(tuple(letters))
+    steps = iter(decomposition.core.text)
+    zeros = iter([_ZERO_OF_COLOR[red] for red in decomposition.colors])
+    slots = set(decomposition.positions)
+    return GWord._trusted(
+        "".join([next(steps) if i in slots else next(zeros) for i in range(1, decomposition.n + 1)])
+    )
 
 
-_MOTZKIN_TO_G = {
-    Letter.UP: Letter.UP,
-    Letter.DOWN: Letter.DOWN,
-    Letter.FLAT: Letter.GREEN_ZERO,
-}
-_G_TO_MOTZKIN = {g: m for m, g in _MOTZKIN_TO_G.items()}
+_ZEROS_DELETED = str.maketrans("", "", "GR")
+_STEPS_DELETED = str.maketrans("", "", "UD")
+_ZERO_OF_COLOR = {False: "G", True: "R"}
+_G_TO_MOTZKIN = str.maketrans({"R": None, "G": "H"})
+_MOTZKIN_TO_G = str.maketrans("H", "G")
 
 
 def motzkin_split(word: GWord) -> MotzkinDecomposition:
-    """Record the red-zero slots and read the rest as a Motzkin word."""
-    red_positions = []
-    core = []
-    for i, letter in enumerate(word.letters, start=1):
-        if letter is Letter.RED_ZERO:
-            red_positions.append(i)
-        else:
-            core.append(_G_TO_MOTZKIN[letter])
-    return MotzkinDecomposition(len(word), tuple(red_positions), MotzkinWord(tuple(core)))
+    """Record the red-zero slots and read the rest as a Motzkin word.
+
+    Deleting red zeros keeps the prefix sums at the other letters, so
+    the core is a Motzkin word.
+    """
+    text = word.text
+    return MotzkinDecomposition(
+        len(text),
+        tuple([i for i, ch in enumerate(text, start=1) if ch == "R"]),
+        MotzkinWord._trusted(text.translate(_G_TO_MOTZKIN)),
+    )
 
 
 def motzkin_merge(decomposition: MotzkinDecomposition) -> GWord:
@@ -247,15 +253,11 @@ def motzkin_merge(decomposition: MotzkinDecomposition) -> GWord:
     Red zeros leave prefix sums unchanged, so the merge of any valid
     decomposition is a valid G-word.
     """
+    core = iter(decomposition.core.text.translate(_MOTZKIN_TO_G))
     reds = set(decomposition.red_positions)
-    core = iter(decomposition.core.letters)
-    letters = []
-    for i in range(1, decomposition.n + 1):
-        if i in reds:
-            letters.append(Letter.RED_ZERO)
-        else:
-            letters.append(_MOTZKIN_TO_G[next(core)])
-    return GWord(tuple(letters))
+    return GWord._trusted(
+        "".join(["R" if i in reds else next(core) for i in range(1, decomposition.n + 1)])
+    )
 
 
 _TOUCHARD_LINE = re.compile(r"positions=\[([\d,]*)\];core=(\w*);colors=([01]*)")
@@ -278,7 +280,7 @@ def parse_touchard_decomposition(line: str) -> TouchardDecomposition:
     if match is None:
         raise InvalidDecomposition(f"cannot parse decomposition line {line!r}")
     positions = _parse_positions(match.group(1))
-    core = validate_dyck(parse_letters(match.group(2)))
+    core = validate_dyck(match.group(2))
     colors = tuple(bit == "1" for bit in match.group(3))
     return TouchardDecomposition(len(positions) + len(colors), positions, core, colors)
 
@@ -294,5 +296,5 @@ def parse_motzkin_decomposition(line: str) -> MotzkinDecomposition:
     if match is None:
         raise InvalidDecomposition(f"cannot parse decomposition line {line!r}")
     red_positions = _parse_positions(match.group(1))
-    core = validate_motzkin(parse_letters(match.group(2)))
+    core = validate_motzkin(match.group(2))
     return MotzkinDecomposition(len(red_positions) + len(core), red_positions, core)

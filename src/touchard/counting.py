@@ -35,27 +35,25 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-_motzkin_table = [1]
+_motzkin_table = [1, 1]
 _motzkin_lock = threading.Lock()
 
 
 def motzkin_count(k: int) -> int:
     """Number of Motzkin words of length k.
 
-    Extends a shared table with the first-return recurrence
-    M_{m+1} = M_m + sum_{i<m} M_i * M_{m-1-i}: a nonempty word either
-    starts flat or opens an arch closed at its first return to ground.
+    Extends a shared table with the P-recursive recurrence
+    (m+2) M_m = (2m+1) M_{m-1} + 3(m-1) M_{m-2} (OEIS A001006), one
+    product pair per entry; the division is exact.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     with _motzkin_lock:
-        while len(_motzkin_table) <= k:
-            m = len(_motzkin_table) - 1
-            _motzkin_table.append(
-                _motzkin_table[m]
-                + sum(_motzkin_table[i] * _motzkin_table[m - 1 - i] for i in range(m))
-            )
-        return _motzkin_table[k]
+        table = _motzkin_table
+        while len(table) <= k:
+            m = len(table)
+            table.append(((2 * m + 1) * table[m - 1] + 3 * (m - 1) * table[m - 2]) // (m + 2))
+        return table[k]
 
 
 @dataclass(frozen=True)

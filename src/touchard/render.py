@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .words import Letter, Word
+from .words import Word
 
 NEUTRAL = "neutral"
 GREEN = "green"
@@ -33,12 +33,12 @@ class Step(NamedTuple):
     color: str
 
 
-_STEP_BY_LETTER = {
-    Letter.UP: (+1, NEUTRAL),
-    Letter.DOWN: (-1, NEUTRAL),
-    Letter.GREEN_ZERO: (0, GREEN),
-    Letter.RED_ZERO: (0, RED),
-    Letter.FLAT: (0, NEUTRAL),
+_STEP_BY_SYMBOL = {
+    "U": Step(1, +1, NEUTRAL),
+    "D": Step(1, -1, NEUTRAL),
+    "G": Step(1, 0, GREEN),
+    "R": Step(1, 0, RED),
+    "H": Step(1, 0, NEUTRAL),
 }
 
 
@@ -65,8 +65,7 @@ class PathDrawing:
 
 def to_drawing(word: Word) -> PathDrawing:
     """One step per letter of any validated word type."""
-    steps = tuple(Step(1, *_STEP_BY_LETTER[letter]) for letter in word.letters)
-    return PathDrawing(steps)
+    return PathDrawing(tuple(map(_STEP_BY_SYMBOL.__getitem__, word.text)))
 
 
 def render_ascii(drawing: PathDrawing) -> str:

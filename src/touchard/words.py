@@ -12,15 +12,22 @@ Four word families over letters valued in {+1, 0, -1}:
   These words have at least one letter.
 * ``MotzkinWord``: up/flat/down letters, counted by Motzkin numbers.
 
-Words are immutable values.  Construct them through the ``validate_*``
-functions (which raise the typed errors below) or take them from the
-enumerators and the sampler; direct construction re-checks the
-invariants when Python runs with ``__debug__`` and skips the check
-under ``-O``, so downstream code may always assume validity.
+A word is an immutable value holding its text, one character per letter
+('U' up, 'D' down, 'G' green zero, 'R' red zero, 'H' flat).  The same
+encoding is the CLI's: one word per line, the empty line being the
+empty word.
 
-Text encoding, shared with the CLI: one character per letter
-('U' up, 'D' down, 'G' green zero, 'R' red zero, 'H' flat), one word
-per line, the empty line being the empty word.
+Validation happens once, at the public boundary, whatever Python's
+``-O`` setting: the ``validate_*`` functions and the public constructors
+(``DyckWord("UD")``, ``GWord((Letter.UP, Letter.DOWN))``, ...) check
+their input and raise the typed errors below.  The enumerators, the
+sampler and the maps of ``bijections`` build their outputs through the
+private ``_trusted`` constructor, which checks nothing; code that builds
+words that way owns their validity, and ``touchard verify`` checks the
+maps' outputs explicitly.
+
+``Letter``, ``Word.letters`` and ``prefix_sums`` give a view of a word
+as a tuple of ``Letter`` members.
 
 Enumeration is lexicographic under the fixed letter order
 U < G < R < D (U < H < D for Motzkin words), chosen so golden outputs
@@ -29,8 +36,8 @@ are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 
@@ -57,6 +64,8 @@ G_ALPHABET = (Letter.UP, Letter.GREEN_ZERO, Letter.RED_ZERO, Letter.DOWN)
 MOTZKIN_ALPHABET = (Letter.UP, Letter.FLAT, Letter.DOWN)
 
 _BY_SYMBOL = {letter.symbol: letter for letter in Letter}
+STEP = {letter.symbol: letter.step for letter in Letter}
+_UNKNOWN = str.maketrans(dict.fromkeys(_BY_SYMBOL))  # deletes every known symbol
 
 
 class WordError(ValueError):
@@ -81,171 +90,229 @@ class RedZeroAtGroundLevel(WordError):
 
 def prefix_sums(letters: Iterable[Letter]) -> list[int]:
     """Running totals of the letters' steps; entry i covers letters[:i+1]."""
-    sums = []
-    total = 0
-    for letter in letters:
-        total += letter.step
-        sums.append(total)
-    return sums
+    return list(accumulate(letter.step for letter in letters))
 
 
-def _check_path(letters: tuple[Letter, ...], allowed: frozenset[Letter], family: str) -> None:
+def _text(letters: str | Iterable[Letter]) -> str:
+    """The text of a word given as text or as ``Letter`` members.
+
+    Text may hold only the five symbols; BadAlphabet names the first
+    other character.
+    """
+    if isinstance(letters, str):
+        unknown = letters.translate(_UNKNOWN)
+        if unknown:
+            raise BadAlphabet(f"unknown letter {unknown[0]!r}")
+        return letters
+    return "".join([letter.symbol for letter in letters])
+
+
+def _check_path(text: str, alphabet: str, family: str) -> None:
     height = 0
-    for i, letter in enumerate(letters):
-        if letter not in allowed:
-            raise BadAlphabet(f"{family} word may not contain {letter.symbol!r} (position {i + 1})")
-        height += letter.step
+    for i, ch in enumerate(text):
+        if ch not in alphabet:
+            raise BadAlphabet(f"{family} word may not contain {ch!r} (position {i + 1})")
+        height += STEP[ch]
         if height < 0:
             raise NegativePrefix(f"prefix sum falls below zero at position {i + 1}")
     if height != 0:
         raise NotBalanced(f"letters sum to {height}, not zero")
 
 
-_DYCK_SET = frozenset(DYCK_ALPHABET)
-_G_SET = frozenset(G_ALPHABET)
-_MOTZKIN_SET = frozenset(MOTZKIN_ALPHABET)
+def _check_dyck(text: str) -> None:
+    _check_path(text, "UD", "Dyck")
 
 
-def _check_dyck(letters: tuple[Letter, ...]) -> None:
-    _check_path(letters, _DYCK_SET, "Dyck")
+def _check_g(text: str) -> None:
+    _check_path(text, "UGRD", "bicolored Motzkin")
 
 
-def _check_g(letters: tuple[Letter, ...]) -> None:
-    _check_path(letters, _G_SET, "bicolored Motzkin")
-
-
-def _check_g_restricted(letters: tuple[Letter, ...]) -> None:
-    if not letters:
+def _check_g_restricted(text: str) -> None:
+    if not text:
         raise WordError("a restricted word has at least one letter")
-    _check_g(letters)
+    _check_g(text)
     height = 0
-    for i, letter in enumerate(letters):
-        if letter is Letter.RED_ZERO and height == 0:
+    for i, ch in enumerate(text):
+        if ch == "R" and height == 0:
             raise RedZeroAtGroundLevel(f"red zero at position {i + 1} sits at ground level")
-        height += letter.step
+        height += STEP[ch]
 
 
-def _check_motzkin(letters: tuple[Letter, ...]) -> None:
-    _check_path(letters, _MOTZKIN_SET, "Motzkin")
+def _check_motzkin(text: str) -> None:
+    _check_path(text, "UHD", "Motzkin")
 
 
-@dataclass(frozen=True)
 class Word:
-    """Shared behavior of the validated word types."""
+    """Shared behavior of the validated word types.
 
-    letters: tuple[Letter, ...]
+    ``Word(letters)`` takes text or an iterable of ``Letter`` members and
+    checks the family's invariants; ``text`` is the word's text.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
-        if __debug__:
-            self._check(self.letters)
+    __slots__ = ("text",)
+    text: str
+
+    def __init__(self, letters: str | Iterable[Letter]) -> None:
+        text = _text(letters)
+        self._check(text)
+        _set_text(self, text)
+
+    @classmethod
+    def _trusted(cls, text: str):
+        """A word of this family from text the caller guarantees is valid."""
+        word = _new(cls)
+        _set_text(word, text)
+        return word
 
     @staticmethod
-    def _check(letters: tuple[Letter, ...]) -> None:
+    def _check(text: str) -> None:
         raise NotImplementedError
 
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The word as ``Letter`` members."""
+        return tuple(map(_BY_SYMBOL.__getitem__, self.text))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.text == other.text
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.text)
+
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.text)
 
     def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
+        return map(_BY_SYMBOL.__getitem__, self.text)
 
     def __str__(self) -> str:
-        return "".join(letter.symbol for letter in self.letters)
+        return self.text
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.text!r})"
+
+    def __reduce__(self):
+        return type(self), (self.text,)
+
+
+_new = object.__new__
+_set_text = Word.text.__set__  # the slot's own setter, past the immutable __setattr__
 
 
 class DyckWord(Word):
     """A balanced up/down word whose prefix sums stay non-negative."""
 
+    __slots__ = ()
     _check = staticmethod(_check_dyck)
 
     @property
     def semilength(self) -> int:
-        return len(self.letters) // 2
+        return len(self.text) // 2
 
 
 class GWord(Word):
     """A bicolored Motzkin word (zero letters colored green or red)."""
 
+    __slots__ = ()
     _check = staticmethod(_check_g)
 
 
 class RestrictedGWord(GWord):
     """A GWord whose red zeros all sit strictly above ground level."""
 
+    __slots__ = ()
     _check = staticmethod(_check_g_restricted)
 
 
 class MotzkinWord(Word):
     """An up/flat/down word, balanced with non-negative prefix sums."""
 
+    __slots__ = ()
     _check = staticmethod(_check_motzkin)
 
 
-def validate_dyck(letters: Iterable[Letter]) -> DyckWord:
-    """Check the Dyck invariants and wrap the letters.
+def validate_dyck(letters: str | Iterable[Letter]) -> DyckWord:
+    """Check the Dyck invariants of text or letters and wrap them.
 
     Raises BadAlphabet, NegativePrefix, or NotBalanced.
     """
-    letters = tuple(letters)
-    _check_dyck(letters)
     return DyckWord(letters)
 
 
-def validate_g(letters: Iterable[Letter]) -> GWord:
+def validate_g(letters: str | Iterable[Letter]) -> GWord:
     """Validate a bicolored Motzkin word."""
-    letters = tuple(letters)
-    _check_g(letters)
     return GWord(letters)
 
 
-def validate_g_restricted(letters: Iterable[Letter]) -> RestrictedGWord:
+def validate_g_restricted(letters: str | Iterable[Letter]) -> RestrictedGWord:
     """Validate a restricted word; also raises RedZeroAtGroundLevel."""
-    letters = tuple(letters)
-    _check_g_restricted(letters)
     return RestrictedGWord(letters)
 
 
-def validate_motzkin(letters: Iterable[Letter]) -> MotzkinWord:
+def validate_motzkin(letters: str | Iterable[Letter]) -> MotzkinWord:
     """Validate a Motzkin word."""
-    letters = tuple(letters)
-    _check_motzkin(letters)
     return MotzkinWord(letters)
 
 
 def parse_letters(text: str) -> tuple[Letter, ...]:
     """Decode a line of U/D/G/R/H symbols; BadAlphabet on anything else."""
-    letters = []
-    for ch in text:
-        letter = _BY_SYMBOL.get(ch)
-        if letter is None:
-            raise BadAlphabet(f"unknown letter {ch!r}")
-        letters.append(letter)
-    return tuple(letters)
+    return tuple(map(_BY_SYMBOL.__getitem__, _text(text)))
 
 
-def _paths(length: int, alphabet: tuple[Letter, ...], ground_red_ok: bool = True) -> Iterator[tuple[Letter, ...]]:
-    """Backtracking generator of balanced non-negative words, in lexicographic
-    order of ``alphabet``.  Prune: the prefix sum may never exceed the number
-    of letters still to be placed."""
-    word: list[Letter] = []
+# For each symbol, the symbols after it in enumeration order (within the
+# families that use it).
+_LATER = {
+    "dyck": {"U": "D", "D": ""},
+    "g": {"U": "GRD", "G": "RD", "R": "D", "D": ""},
+    "motzkin": {"U": "HD", "H": "D", "D": ""},
+}
 
-    def extend(height: int, remaining: int) -> Iterator[tuple[Letter, ...]]:
-        if remaining == 0:
-            yield tuple(word)
-            return
-        for letter in alphabet:
-            new_height = height + letter.step
-            if new_height < 0 or new_height > remaining - 1:
-                continue
-            if not ground_red_ok and letter is Letter.RED_ZERO and height == 0:
-                continue
-            word.append(letter)
-            yield from extend(new_height, remaining - 1)
-            word.pop()
 
-    return extend(0, length)
+def _paths(length: int, family: str, ground_red_ok: bool = True) -> Iterator[str]:
+    """Balanced non-negative words of ``length`` letters in lexicographic order.
+
+    Each word is the successor of the one before: change the last letter
+    that can grow to its next larger letter, then append the smallest
+    completion.  A height h with r letters left can be completed iff
+    0 <= h <= r, and the smallest completion is U^a Z^(r-h-2a) D^(h+a)
+    with a = (r-h)//2 and Z the family's green or flat zero (r-h is
+    always even for Dyck words).  Restricted words (``ground_red_ok``
+    false) also refuse a red zero at height 0; the smallest completion
+    never holds a red zero.  Memory is O(length).
+    """
+    later = _LATER[family]
+    zero = "H" if family == "motzkin" else "G"
+
+    def completion(height: int, remaining: int) -> str:
+        ups, odd = divmod(remaining - height, 2)
+        return "U" * ups + zero * odd + "D" * (height + ups)
+
+    def successor(text: str) -> str | None:
+        # A final run of down-steps cannot grow; it starts at the height it descends.
+        i = len(text.rstrip("D"))
+        height = length - i
+        while i:
+            i -= 1
+            ch = text[i]
+            height -= STEP[ch]  # now the height before letter i
+            remaining = length - i - 1
+            for bigger in later[ch]:
+                new_height = height + STEP[bigger]
+                if 0 <= new_height <= remaining and (ground_red_ok or height or bigger != "R"):
+                    return text[:i] + bigger + completion(new_height, remaining)
+        return None
+
+    text = completion(0, length)
+    while text is not None:
+        yield text
+        text = successor(text)
 
 
 def enumerate_dyck(n: int) -> Iterator[DyckWord]:
@@ -255,8 +322,7 @@ def enumerate_dyck(n: int) -> Iterator[DyckWord]:
     """
     if n < 0:
         raise ValueError("semilength must be non-negative")
-    for letters in _paths(2 * n, DYCK_ALPHABET):
-        yield DyckWord(letters)
+    yield from map(DyckWord._trusted, _paths(2 * n, "dyck"))
 
 
 def enumerate_g(n: int) -> Iterator[GWord]:
@@ -266,8 +332,7 @@ def enumerate_g(n: int) -> Iterator[GWord]:
     """
     if n < 0:
         raise ValueError("length must be non-negative")
-    for letters in _paths(n, G_ALPHABET):
-        yield GWord(letters)
+    yield from map(GWord._trusted, _paths(n, "g"))
 
 
 def enumerate_g_restricted(length: int) -> Iterator[RestrictedGWord]:
@@ -280,16 +345,14 @@ def enumerate_g_restricted(length: int) -> Iterator[RestrictedGWord]:
         raise ValueError("length must be non-negative")
     if length == 0:
         return
-    for letters in _paths(length, G_ALPHABET, ground_red_ok=False):
-        yield RestrictedGWord(letters)
+    yield from map(RestrictedGWord._trusted, _paths(length, "g", ground_red_ok=False))
 
 
 def enumerate_motzkin(k: int) -> Iterator[MotzkinWord]:
     """All Motzkin words of length k, lexicographically (U < H < D)."""
     if k < 0:
         raise ValueError("length must be non-negative")
-    for letters in _paths(k, MOTZKIN_ALPHABET):
-        yield MotzkinWord(letters)
+    yield from map(MotzkinWord._trusted, _paths(k, "motzkin"))
 
 
 _MASK64 = (1 << 64) - 1
@@ -338,17 +401,12 @@ def sample_dyck(n: int, seed: int) -> DyckWord:
     if n < 0:
         raise ValueError("semilength must be non-negative")
     rng = SplitMix64(seed)
-    steps = [Letter.UP] * (n + 1) + [Letter.DOWN] * n
+    steps = ["U"] * (n + 1) + ["D"] * n
     for i in range(len(steps) - 1, 0, -1):  # Fisher-Yates
         j = rng.below(i + 1)
         steps[i], steps[j] = steps[j], steps[i]
-    total = 0
-    low = 0
-    cut = 0  # position just after the last prefix-sum minimum
-    for i, letter in enumerate(steps, start=1):
-        total += letter.step
-        if total <= low:
-            low = total
-            cut = i
-    rotated = steps[cut:] + steps[:cut]
-    return DyckWord(tuple(rotated[1:]))
+    sums = list(accumulate(map(STEP.__getitem__, steps), initial=0))
+    low = min(sums)
+    cut = len(sums) - 1 - sums[::-1].index(low)  # just after the last minimum
+    rotated = "".join(steps[cut:] + steps[:cut])
+    return DyckWord._trusted(rotated[1:])

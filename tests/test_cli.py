@@ -2,6 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -260,3 +265,95 @@ def test_cmd_verify_accepts_config_object():
     # 3 n-values x 2 identities, 2 sizes x 4 round trips, 2 n-values x 2 censuses
     assert len(lines) == 6 + 8 + 4
     assert "ok=false" not in out.getvalue()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def python(*args, optimize=False, **kwargs):
+    """Start a fresh interpreter (``python -O`` if ``optimize``) that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, *(["-O"] if optimize else []), *args]
+    return subprocess.Popen(cmd, env=dict(os.environ, PYTHONPATH=path), **kwargs)
+
+
+def run_python(*args, optimize=False):
+    proc = python(*args, optimize=optimize, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err
+
+
+def test_closed_output_pipe_exits_1_without_traceback():
+    # touchard enumerate g --length 12 | head -1
+    proc = python("-m", "touchard.cli", "enumerate", "g", "--length", "12",
+                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert (first, err) == (b"UUUUUUDDDDDD\n", b"")
+
+
+def test_unexpected_exception_is_one_error_line():
+    code = textwrap.dedent("""
+        import sys
+        import touchard.cli as cli
+
+        def broken(*args):
+            raise RuntimeError("planted\\nfault")
+
+        cli.cmd_count = broken
+        sys.exit(cli.main(["count", "catalan", "3"]))
+    """)
+    status, out, err = run_python("-c", code)
+    assert (status, out, err) == (1, "", "error: unexpected RuntimeError: planted fault\n")
+
+
+def test_public_constructors_check_under_optimize():
+    code = textwrap.dedent("""
+        from touchard import DyckWord, Letter, NegativePrefix
+        try:
+            DyckWord((Letter.DOWN, Letter.UP))
+        except NegativePrefix as exc:
+            print(exc)
+    """)
+    assert run_python("-c", code, optimize=True) == (0, "prefix sum falls below zero at position 1\n", "")
+
+
+def test_verify_checks_map_outputs_under_optimize():
+    # A planted drop/raise pair whose round trips all succeed while drop
+    # returns words that dip below ground: drop mirrors its true output
+    # (U <-> D), raise undoes the mirroring, and drop leaves alone the
+    # words raise produced, so the second round trip holds as well.
+    code = textwrap.dedent("""
+        import sys
+        import touchard.cli as cli
+        from touchard.bijections import drop_restriction, raise_restriction
+        from touchard.words import GWord
+
+        MIRROR = str.maketrans("UD", "DU")
+        raised = set()
+
+        def drop(word):
+            dropped = drop_restriction(word)
+            if word.text in raised:
+                return dropped
+            return GWord._trusted(dropped.text.translate(MIRROR))
+
+        def lift(word):
+            if word.text.lstrip("GR").startswith("D"):  # a mirror image from drop
+                word = GWord._trusted(word.text.translate(MIRROR))
+            lifted = raise_restriction(word)
+            raised.add(lifted.text)
+            return lifted
+
+        cli.drop_restriction, cli.raise_restriction = drop, lift
+        sys.exit(cli.main(["verify", "--max-identity-n", "0", "--max-census-n", "0",
+                           "--max-roundtrip-len", "4"]))
+    """)
+    status, out, err = run_python("-c", code, optimize=True)
+    assert status == 1
+    assert "roundtrip=restriction n=4 words=84 ok=false" in out.splitlines()
+    assert "roundtrip=pair n=4 words=84 ok=true" in out.splitlines()
+    assert err.startswith("verify: first failing check: roundtrip=restriction")

@@ -25,6 +25,16 @@ def segner(limit):
     return values
 
 
+def motzkin_by_first_return(limit):
+    """Motzkin numbers by the first-return convolution
+    M_{m+1} = M_m + sum_{i<m} M_i M_{m-1-i}: a nonempty word either
+    starts flat or opens an arch closed at its first return to ground."""
+    values = [1]
+    for m in range(limit):
+        values.append(values[m] + sum(values[i] * values[m - 1 - i] for i in range(m)))
+    return values
+
+
 def pascal(rows):
     triangle = [[1]]
     for _ in range(rows):
@@ -57,6 +67,10 @@ def test_motzkin_values():
 def test_motzkin_matches_enumeration():
     for k in range(15):
         assert motzkin_count(k) == sum(1 for _ in enumerate_motzkin(k))
+
+
+def test_motzkin_against_first_return_oracle():
+    assert [motzkin_count(k) for k in range(301)] == motzkin_by_first_return(300)
 
 
 def test_motzkin_rejects_negative():

@@ -126,6 +126,15 @@ def test_words_are_hashable_and_type_distinct():
         dyck.letters = ()
 
 
+def test_words_survive_pickle_and_copy():
+    import copy
+    import pickle
+
+    for word in (validate_dyck([U, D]), validate_g_restricted([U, R, D]), validate_motzkin([H])):
+        for clone in (pickle.loads(pickle.dumps(word)), copy.copy(word), copy.deepcopy(word)):
+            assert type(clone) is type(word) and clone == word
+
+
 def test_enumerate_dyck_small():
     assert [str(w) for w in enumerate_dyck(0)] == [""]
     assert [str(w) for w in enumerate_dyck(2)] == ["UUDD", "UDUD"]
@@ -193,6 +202,10 @@ def test_enumeration_order_is_lexicographic():
     for n in range(7):
         words = [[DYCK_ALPHABET.index(letter) for letter in w.letters] for w in enumerate_dyck(n)]
         assert words == sorted(words)
+
+
+def test_long_enumeration_needs_no_recursion():
+    assert str(next(enumerate_g(1500))) == "U" * 750 + "D" * 750
 
 
 def test_enumeration_streams_are_independent():

@@ -1,0 +1,270 @@
+"""Reference implementation on tuples of ``Letter`` members.
+
+This is the package's earlier representation: words were tuples of
+``Letter`` enums, walked one letter at a time.  The package now works on
+text; the tests compare its fast paths with these slow, plain versions
+(same outputs, same enumeration order, same errors).  Nothing here calls
+the package's validators, enumerators or maps.
+"""
+
+import re
+
+from touchard import BadAlphabet, InvalidDecomposition, Letter, NegativePrefix, NotBalanced
+from touchard import RedZeroAtGroundLevel, WordError
+
+U, D, G, R, H = Letter.UP, Letter.DOWN, Letter.GREEN_ZERO, Letter.RED_ZERO, Letter.FLAT
+DYCK_ALPHABET = (U, D)
+G_ALPHABET = (U, G, R, D)
+MOTZKIN_ALPHABET = (U, H, D)
+_BY_SYMBOL = {letter.symbol: letter for letter in Letter}
+
+
+def text(letters):
+    return "".join(letter.symbol for letter in letters)
+
+
+def parse_letters(line):
+    letters = []
+    for ch in line:
+        letter = _BY_SYMBOL.get(ch)
+        if letter is None:
+            raise BadAlphabet(f"unknown letter {ch!r}")
+        letters.append(letter)
+    return tuple(letters)
+
+
+def _check_path(letters, allowed, family):
+    height = 0
+    for i, letter in enumerate(letters):
+        if letter not in allowed:
+            raise BadAlphabet(f"{family} word may not contain {letter.symbol!r} (position {i + 1})")
+        height += letter.step
+        if height < 0:
+            raise NegativePrefix(f"prefix sum falls below zero at position {i + 1}")
+    if height != 0:
+        raise NotBalanced(f"letters sum to {height}, not zero")
+
+
+def check_dyck(letters):
+    _check_path(letters, DYCK_ALPHABET, "Dyck")
+
+
+def check_g(letters):
+    _check_path(letters, G_ALPHABET, "bicolored Motzkin")
+
+
+def check_g_restricted(letters):
+    if not letters:
+        raise WordError("a restricted word has at least one letter")
+    check_g(letters)
+    height = 0
+    for i, letter in enumerate(letters):
+        if letter is R and height == 0:
+            raise RedZeroAtGroundLevel(f"red zero at position {i + 1} sits at ground level")
+        height += letter.step
+
+
+def check_motzkin(letters):
+    _check_path(letters, MOTZKIN_ALPHABET, "Motzkin")
+
+
+CHECKS = {"dyck": check_dyck, "g": check_g, "grestricted": check_g_restricted, "motzkin": check_motzkin}
+
+
+def paths(length, alphabet, ground_red_ok=True):
+    """Recursive backtracking, in the lexicographic order of ``alphabet``."""
+    word = []
+
+    def extend(height, remaining):
+        if remaining == 0:
+            yield tuple(word)
+            return
+        for letter in alphabet:
+            new_height = height + letter.step
+            if new_height < 0 or new_height > remaining - 1:
+                continue
+            if not ground_red_ok and letter is R and height == 0:
+                continue
+            word.append(letter)
+            yield from extend(new_height, remaining - 1)
+            word.pop()
+
+    return extend(0, length)
+
+
+def enumerate_family(family, length):
+    """Words of a family as letter tuples; ``length`` is the semilength for dyck."""
+    if family == "dyck":
+        return paths(2 * length, DYCK_ALPHABET)
+    if family == "g":
+        return paths(length, G_ALPHABET)
+    if family == "grestricted":
+        return paths(length, G_ALPHABET, ground_red_ok=False) if length else iter(())
+    return paths(length, MOTZKIN_ALPHABET)
+
+
+_PAIR_TO_LETTER = {(U, U): U, (U, D): G, (D, U): R, (D, D): D}
+_LETTER_TO_PAIR = {letter: pair for pair, letter in _PAIR_TO_LETTER.items()}
+
+
+def pair_encode(letters):
+    if not letters:
+        raise ValueError("pair encoding needs at least one letter pair")
+    return tuple(_PAIR_TO_LETTER[letters[i], letters[i + 1]] for i in range(0, len(letters), 2))
+
+
+def pair_decode(letters):
+    expanded = []
+    for letter in letters:
+        expanded.extend(_LETTER_TO_PAIR[letter])
+    return tuple(expanded)
+
+
+def drop_restriction(letters):
+    if letters[-1] is G:
+        return letters[:-1]
+    sums = []
+    total = 0
+    for letter in letters:
+        total += letter.step
+        sums.append(total)
+    cut = 0
+    for i in range(len(letters) - 1):
+        if sums[i] == 0:
+            cut = i + 1
+    return letters[:cut] + (R,) + letters[cut + 1 : -1]
+
+
+def raise_restriction(letters):
+    height = 0
+    for i, letter in enumerate(letters):
+        if letter is R and height == 0:
+            return letters[:i] + (U,) + letters[i + 1 :] + (D,)
+        height += letter.step
+    return letters + (G,)
+
+
+def touchard_split(letters):
+    """(n, positions, core, colors) with positions 1-based."""
+    positions, core, colors = [], [], []
+    for i, letter in enumerate(letters, start=1):
+        if letter.step != 0:
+            positions.append(i)
+            core.append(letter)
+        else:
+            colors.append(letter is R)
+    return len(letters), tuple(positions), tuple(core), tuple(colors)
+
+
+def touchard_merge(n, positions, core, colors):
+    filled = dict(zip(positions, core))
+    color = iter(colors)
+    letters = []
+    for i in range(1, n + 1):
+        letter = filled.get(i)
+        if letter is None:
+            letter = R if next(color) else G
+        letters.append(letter)
+    return tuple(letters)
+
+
+_MOTZKIN_TO_G = {U: U, D: D, H: G}
+_G_TO_MOTZKIN = {g: m for m, g in _MOTZKIN_TO_G.items()}
+
+
+def motzkin_split(letters):
+    """(n, red_positions, core) with positions 1-based."""
+    reds, core = [], []
+    for i, letter in enumerate(letters, start=1):
+        if letter is R:
+            reds.append(i)
+        else:
+            core.append(_G_TO_MOTZKIN[letter])
+    return len(letters), tuple(reds), tuple(core)
+
+
+def motzkin_merge(n, reds, core):
+    core = iter(core)
+    return tuple(R if i in reds else _MOTZKIN_TO_G[next(core)] for i in range(1, n + 1))
+
+
+def _check_slots(positions, n, name):
+    if any(p < 1 or p > n for p in positions):
+        raise InvalidDecomposition(f"{name} must lie in 1..{n}")
+    if any(a >= b for a, b in zip(positions, positions[1:])):
+        raise InvalidDecomposition(f"{name} must be strictly increasing")
+
+
+_TOUCHARD_LINE = re.compile(r"positions=\[([\d,]*)\];core=(\w*);colors=([01]*)")
+_MOTZKIN_LINE = re.compile(r"red=\[([\d,]*)\];core=(\w*)")
+
+
+def _positions(field):
+    return tuple(int(p) for p in field.split(",") if p)
+
+
+def parse_touchard_line(line):
+    match = _TOUCHARD_LINE.fullmatch(line)
+    if match is None:
+        raise InvalidDecomposition(f"cannot parse decomposition line {line!r}")
+    positions = _positions(match.group(1))
+    core = parse_letters(match.group(2))
+    check_dyck(core)
+    colors = tuple(bit == "1" for bit in match.group(3))
+    n = len(positions) + len(colors)
+    if len(positions) != len(core):
+        raise InvalidDecomposition("positions must hold one slot per core letter")
+    _check_slots(positions, n, "positions")
+    return n, positions, core, colors
+
+
+def parse_motzkin_line(line):
+    match = _MOTZKIN_LINE.fullmatch(line)
+    if match is None:
+        raise InvalidDecomposition(f"cannot parse decomposition line {line!r}")
+    reds = _positions(match.group(1))
+    core = parse_letters(match.group(2))
+    check_motzkin(core)
+    n = len(reds) + len(core)
+    _check_slots(reds, n, "red positions")
+    return n, reds, core
+
+
+def format_touchard_line(n, positions, core, colors):
+    bits = "".join("1" if c else "0" for c in colors)
+    return f"positions=[{','.join(map(str, positions))}];core={text(core)};colors={bits}"
+
+
+def format_motzkin_line(n, reds, core):
+    return f"red=[{','.join(map(str, reds))}];core={text(core)}"
+
+
+def _word(check, line):
+    letters = parse_letters(line)
+    check(letters)
+    return letters
+
+
+def map_line(direction, line):
+    """What ``touchard map DIRECTION`` prints for one stripped input line."""
+    if direction == "encode":
+        return text(pair_encode(_word(check_dyck, line)))
+    if direction == "decode":
+        return text(pair_decode(_word(check_g_restricted, line)))
+    if direction == "drop":
+        return text(drop_restriction(_word(check_g_restricted, line)))
+    if direction == "raise":
+        return text(raise_restriction(_word(check_g, line)))
+    if direction == "c2g":
+        return text(drop_restriction(pair_encode(_word(check_dyck, line))))
+    if direction == "g2c":
+        return text(pair_decode(raise_restriction(_word(check_g, line))))
+    if direction == "tsplit":
+        return format_touchard_line(*touchard_split(_word(check_g, line)))
+    if direction == "tmerge":
+        return text(touchard_merge(*parse_touchard_line(line)))
+    if direction == "msplit":
+        return format_motzkin_line(*motzkin_split(_word(check_g, line)))
+    if direction == "mmerge":
+        return text(motzkin_merge(*parse_motzkin_line(line)))
+    raise KeyError(direction)
