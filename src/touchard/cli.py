@@ -87,6 +87,8 @@ def _round_trips(words: Iterable, forward: Callable, backward: Callable, valid: 
 def cmd_verify(cfg: VerifyConfig, out: IO[str], err: IO[str]) -> int:
     """Run identity checks, exhaustive round trips, and stratified censuses.
 
+    A round trip passes only if every map output on the way is a word of
+    its target family, found among that family's enumerated words.
     Prints one line per check, ordered by check index; returns 0 only if
     every check passes, otherwise names the first failure on ``err``.
     """

@@ -168,10 +168,11 @@ class Word:
     def _check(text: str) -> None:
         raise NotImplementedError
 
-    def __setattr__(self, name: str, value) -> None:
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    __delattr__ = __setattr__
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def letters(self) -> tuple[Letter, ...]:

@@ -124,6 +124,10 @@ def test_words_are_hashable_and_type_distinct():
     assert len({dyck, g, validate_dyck([U, D])}) == 2
     with pytest.raises(AttributeError):
         dyck.letters = ()
+    with pytest.raises(AttributeError):
+        dyck.text = "UUDD"
+    with pytest.raises(AttributeError):
+        del dyck.text
 
 
 def test_words_survive_pickle_and_copy():
