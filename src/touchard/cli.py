@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Callable, Iterable
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .bijections import (
     catalan_to_g,
@@ -71,94 +71,80 @@ def _family(cls: type, words: Iterable[Word]) -> Callable[[Word], bool]:
     return lambda word: word.__class__ is cls and word.text in texts
 
 
-def _round_trips(words: Iterable, forward: Callable, backward: Callable, valid: Callable) -> bool:
-    """Whether ``forward`` sends every word to a ``valid`` image that ``backward`` maps back to it.
+def _first_failure(words: Iterable, forward: Callable, backward: Callable, valid: Callable) -> str | None:
+    """The text of the first word not sent by ``forward`` to a ``valid`` image that ``backward`` undoes.
 
-    ``valid`` compares each image with the enumerated target family, so
-    the maps' outputs are checked explicitly, under ``python -O`` too.
+    ``valid`` compares each image with the enumerated target family, under
+    ``python -O`` too; a map that raises ValueError fails on that word.
     """
     for word in words:
-        image = forward(word)
-        if not (valid(image) and backward(image) == word):
-            return False
-    return True
+        try:
+            image = forward(word)
+            if valid(image) and backward(image) == word:
+                continue
+        except ValueError:
+            pass
+        return word.text
+    return None
 
 
-def cmd_verify(cfg: VerifyConfig, out: IO[str], err: IO[str]) -> int:
-    """Run identity checks, exhaustive round trips, and stratified censuses.
+class Check(NamedTuple):
+    """One check: its ``verify`` text line, its ndjson record, and its first failing input word."""
 
-    A round trip passes only if every map output on the way is a word of
-    its target family, found among that family's enumerated words.
-    Prints one line per check, ordered by check index; returns 0 only if
-    every check passes, otherwise names the first failure on ``err``.
+    ok: bool
+    line: str
+    record: dict
+    counterexample: str | None = None
+
+
+def _bijection_checks(n: int) -> Iterator[Check]:
+    """The four bijection checks at size n.
+
+    Each passes when both families have the same size (for a split map, the number of
+    decompositions: the identity's right-hand side) and every enumerated word survives its round trip.
     """
-    first_failure: str | None = None
+    dyck = list(enumerate_dyck(n + 1))
+    restricted = list(enumerate_g_restricted(n + 1))
+    grown = list(enumerate_g(n))
+    is_dyck = _family(DyckWord, dyck)
+    is_restricted = _family(RestrictedGWord, restricted)
+    is_g = _family(GWord, grown)
+    is_dyck_core = _family(DyckWord, chain.from_iterable(map(enumerate_dyck, range(n // 2 + 1))))
+    is_motzkin_core = _family(MotzkinWord, chain.from_iterable(map(enumerate_motzkin, range(n + 1))))
+    # name, size of the target family, then (words, forward, backward, valid) per enumerated side
+    for name, target_size, *sides in (
+        ("pair", len(restricted), (dyck, pair_encode, pair_decode, is_restricted),
+         (restricted, pair_decode, pair_encode, is_dyck)),
+        ("restriction", len(grown), (restricted, drop_restriction, raise_restriction, is_g),
+         (grown, raise_restriction, drop_restriction, is_restricted)),
+        ("touchard_split", touchard_rhs(n).rhs,
+         (grown, touchard_split, touchard_merge, lambda d: is_dyck_core(d.core))),
+        ("motzkin_split", motzkin_rhs(n).rhs,
+         (grown, motzkin_split, motzkin_merge, lambda d: is_motzkin_core(d.core))),
+    ):
+        failures = (word for side in sides if (word := _first_failure(*side)) is not None)
+        counterexample = next(failures, None)
+        ok = len(sides[0][0]) == target_size and counterexample is None
+        words = sum(len(side[0]) for side in sides)
+        record = {"check": "roundtrip", "bijection": name, "n": n, "words": words, "ok": ok}
+        if counterexample is not None:
+            record["counterexample"] = counterexample
+        line = f"roundtrip={name} n={n} words={words} ok={'true' if ok else 'false'}"
+        yield Check(ok, line, record, counterexample)
 
-    def emit(ok: bool, text: str, record: dict) -> None:
-        nonlocal first_failure
-        if cfg.output_format == "ndjson":
-            record["ok"] = ok
-            out.write(json.dumps(record) + "\n")
-        else:
-            out.write(text + "\n")
-        if not ok and first_failure is None:
-            first_failure = text
 
+def run_checks(cfg: VerifyConfig) -> Iterator[Check]:
+    """Identity checks, exhaustive bijection checks, and stratified censuses, in that order."""
     for n in range(cfg.max_identity_n + 1):
         for which, report in (("touchard", touchard_rhs(n)), ("motzkin", motzkin_rhs(n))):
-            emit(
-                report.holds,
-                f"identity={which} {report.format_line()}",
-                {
-                    "check": "identity",
-                    "identity": which,
-                    "n": n,
-                    "lhs": report.lhs,
-                    "rhs": report.rhs,
-                    "holds": report.holds,
-                    "terms": list(report.per_k_terms),
-                },
-            )
+            yield Check(report.holds, f"identity={which} {report.format_line()}", {
+                "check": "identity", "identity": which, "n": n, "lhs": report.lhs, "rhs": report.rhs,
+                "holds": report.holds, "terms": list(report.per_k_terms), "ok": report.holds,
+            })
 
     for n in range(cfg.max_roundtrip_len + 1):
-        dyck = list(enumerate_dyck(n + 1))
-        restricted = list(enumerate_g_restricted(n + 1))
-        grown = list(enumerate_g(n))
-        is_dyck = _family(DyckWord, dyck)
-        is_restricted = _family(RestrictedGWord, restricted)
-        is_g = _family(GWord, grown)
-        is_dyck_core = _family(DyckWord, chain.from_iterable(map(enumerate_dyck, range(n // 2 + 1))))
-        is_motzkin_core = _family(MotzkinWord, chain.from_iterable(map(enumerate_motzkin, range(n + 1))))
-        checks = (
-            (
-                "pair",
-                _round_trips(dyck, pair_encode, pair_decode, is_restricted)
-                and _round_trips(restricted, pair_decode, pair_encode, is_dyck),
-                len(dyck) + len(restricted),
-            ),
-            (
-                "restriction",
-                _round_trips(restricted, drop_restriction, raise_restriction, is_g)
-                and _round_trips(grown, raise_restriction, drop_restriction, is_restricted),
-                len(restricted) + len(grown),
-            ),
-            (
-                "touchard_split",
-                _round_trips(grown, touchard_split, touchard_merge, lambda d: is_dyck_core(d.core)),
-                len(grown),
-            ),
-            (
-                "motzkin_split",
-                _round_trips(grown, motzkin_split, motzkin_merge, lambda d: is_motzkin_core(d.core)),
-                len(grown),
-            ),
-        )
-        for name, ok, words in checks:
-            emit(
-                ok,
-                f"roundtrip={name} n={n} words={words} ok={'true' if ok else 'false'}",
-                {"check": "roundtrip", "bijection": name, "n": n, "words": words},
-            )
+        # one generator per n: size n's families are freed before size n + 1's are built
+        yield from _bijection_checks(n)
 
     for n in range(cfg.max_census_n + 1):
         by_updown = [0] * (n // 2 + 1)
@@ -172,22 +158,31 @@ def cmd_verify(cfg: VerifyConfig, out: IO[str], err: IO[str]) -> int:
         ):
             expected = list(report.per_k_terms)
             ok = counts == expected
-            emit(
-                ok,
-                "census={} n={} counts={} terms={} ok={}".format(
-                    which,
-                    n,
-                    ",".join(map(str, counts)),
-                    ",".join(map(str, expected)),
-                    "true" if ok else "false",
-                ),
-                {"check": "census", "identity": which, "n": n, "counts": counts, "terms": expected},
+            line = "census={} n={} counts={} terms={} ok={}".format(
+                which, n, ",".join(map(str, counts)), ",".join(map(str, expected)), "true" if ok else "false"
             )
+            yield Check(ok, line, {
+                "check": "census", "identity": which, "n": n, "counts": counts, "terms": expected, "ok": ok
+            })
 
-    if first_failure is not None:
-        err.write(f"verify: first failing check: {first_failure}\n")
-        return 1
-    return 0
+
+def cmd_verify(cfg: VerifyConfig, out: IO[str], err: IO[str]) -> int:
+    """Print one line (or ndjson record) per check of ``run_checks``.
+
+    Returns 0 only if every check passes; otherwise names the first
+    failure, with its counterexample if it has one, on ``err``.
+    """
+    first_failure: Check | None = None
+    for check in run_checks(cfg):
+        out.write((json.dumps(check.record) if cfg.output_format == "ndjson" else check.line) + "\n")
+        if not check.ok and first_failure is None:
+            first_failure = check
+    if first_failure is None:
+        return 0
+    found = first_failure.counterexample
+    suffix = "" if found is None else f" counterexample={found}"
+    err.write(f"verify: first failing check: {first_failure.line}{suffix}\n")
+    return 1
 
 
 _MAP_FUNCTIONS = {
@@ -371,6 +366,10 @@ def _run(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; every failure is one ``error:`` line and exit status 1."""
     args = build_parser().parse_args(argv)
+    # Exact values print in full, past CPython's int-to-str digit limit (3.10.7 and later).
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         status = _run(args)
         sys.stdout.flush()
@@ -388,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
         message = " ".join(f"{type(exc).__name__}: {exc}".split())
         sys.stderr.write(f"error: unexpected {message}\n")
         return 1
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ Everything here is exact integer arithmetic; no tolerances apply.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -35,25 +34,22 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-_motzkin_table = [1, 1]
-_motzkin_lock = threading.Lock()
+def _motzkin_numbers(n: int) -> list[int]:
+    """M_0 .. M_n by the P-recursive recurrence (m+2) M_m = (2m+1) M_{m-1} + 3(m-1) M_{m-2}.
+
+    One product pair per entry (OEIS A001006); the division is exact.
+    """
+    numbers = [1, 1]
+    for m in range(2, n + 1):
+        numbers.append(((2 * m + 1) * numbers[m - 1] + 3 * (m - 1) * numbers[m - 2]) // (m + 2))
+    return numbers[: n + 1]
 
 
 def motzkin_count(k: int) -> int:
-    """Number of Motzkin words of length k.
-
-    Extends a shared table with the P-recursive recurrence
-    (m+2) M_m = (2m+1) M_{m-1} + 3(m-1) M_{m-2} (OEIS A001006), one
-    product pair per entry; the division is exact.
-    """
+    """Number of Motzkin words of length k."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    with _motzkin_lock:
-        table = _motzkin_table
-        while len(table) <= k:
-            m = len(table)
-            table.append(((2 * m + 1) * table[m - 1] + 3 * (m - 1) * table[m - 2]) // (m + 2))
-        return table[k]
+    return _motzkin_numbers(k)[k]
 
 
 @dataclass(frozen=True)
@@ -97,5 +93,5 @@ def motzkin_rhs(n: int) -> IdentityReport:
     """Evaluate C_{n+1} against sum_k binom(n, k) M_k."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    terms = tuple(binomial(n, k) * motzkin_count(k) for k in range(n + 1))
+    terms = tuple(binomial(n, k) * m_k for k, m_k in enumerate(_motzkin_numbers(n)))
     return _report(n, terms)

@@ -26,19 +26,18 @@ AXIS_HEX = "#999999"
 
 
 class Step(NamedTuple):
-    """One drawn step; dx is always 1."""
+    """One drawn step, one unit wide."""
 
-    dx: int
     dy: int
     color: str
 
 
 _STEP_BY_SYMBOL = {
-    "U": Step(1, +1, NEUTRAL),
-    "D": Step(1, -1, NEUTRAL),
-    "G": Step(1, 0, GREEN),
-    "R": Step(1, 0, RED),
-    "H": Step(1, 0, NEUTRAL),
+    "U": Step(+1, NEUTRAL),
+    "D": Step(-1, NEUTRAL),
+    "G": Step(0, GREEN),
+    "R": Step(0, RED),
+    "H": Step(0, NEUTRAL),
 }
 
 

@@ -11,27 +11,27 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 
 from touchard import (
-    GWord,
     Letter,
+    MotzkinDecomposition,
     RestrictedGWord,
+    TouchardDecomposition,
     binomial,
     catalan,
     catalan_to_g,
-    drop_restriction,
     enumerate_dyck,
     enumerate_g,
     enumerate_g_restricted,
     g_to_catalan,
     motzkin_count,
+    motzkin_merge,
     motzkin_rhs,
-    pair_decode,
-    pair_encode,
-    raise_restriction,
     render_svg,
     sample_dyck,
     to_drawing,
+    touchard_merge,
     touchard_rhs,
 )
+from touchard.cli import VerifyConfig, run_checks
 
 U, D, G, R = Letter.UP, Letter.DOWN, Letter.GREEN_ZERO, Letter.RED_ZERO
 
@@ -77,28 +77,39 @@ def test_g_cardinalities_to_11():
     assert time.perf_counter() - start < 60.0
 
 
-@criterion(3, "pair encoding and restriction lift are exhaustive bijections for n <= 10")
+def catalogue(kind, max_census_n=0, max_roundtrip_len=0):
+    """The ``run_checks`` records of one kind ("roundtrip" or "census")."""
+    cfg = VerifyConfig(max_identity_n=0, max_census_n=max_census_n, max_roundtrip_len=max_roundtrip_len)
+    return [check for check in run_checks(cfg) if check.record["check"] == kind]
+
+
+# The families each bijection check walks, for the n of its record.
+SIDES = {
+    "pair": lambda n: (enumerate_dyck(n + 1), enumerate_g_restricted(n + 1)),
+    "restriction": lambda n: (enumerate_g_restricted(n + 1), enumerate_g(n)),
+    "touchard_split": lambda n: (enumerate_g(n),),
+    "motzkin_split": lambda n: (enumerate_g(n),),
+}
+
+
+@criterion(3, "pair encoding, restriction lift and both splits are exhaustive bijections for n <= 10")
 def test_bijectivity_to_10():
-    for n in range(11):
-        dyck = list(enumerate_dyck(n + 1))
-        restricted = list(enumerate_g_restricted(n + 1))
-        grown = list(enumerate_g(n))
-
-        encoded = [pair_encode(w) for w in dyck]
-        assert len(set(encoded)) == len(dyck)  # injective
-        assert set(encoded) == set(restricted)  # image is the whole codomain
-        assert all(pair_decode(v) == w for w, v in zip(dyck, encoded))
-        assert all(pair_encode(pair_decode(v)) == v for v in restricted)
-
-        dropped = [drop_restriction(v) for v in restricted]
-        assert len(set(dropped)) == len(restricted)
-        assert set(dropped) == set(grown)
-        assert all(raise_restriction(u) == v for v, u in zip(restricted, dropped))
-        assert all(drop_restriction(raise_restriction(u)) == u for u in grown)
+    checks = catalogue("roundtrip", max_roundtrip_len=10)
+    assert [(c.record["bijection"], c.record["n"]) for c in checks] == [
+        (name, n) for n in range(11) for name in SIDES
+    ]
+    for check in checks:
+        name, n = check.record["bijection"], check.record["n"]
+        # every word of every side was walked: |C_{n+1}| = |restricted_{n+1}| = |G_n|
+        assert check.record["words"] == len(SIDES[name](n)) * catalan(n + 1)
+        assert check.ok and check.record["ok"] and check.counterexample is None
+        assert "counterexample" not in check.record
 
 
 @criterion(4, "stratified censuses equal the identity terms for n <= 9")
 def test_censuses_to_9():
+    census = {(c.record["identity"], c.record["n"]): c for c in catalogue("census", max_census_n=9)}
+    assert len(census) == 20
     for n in range(10):
         by_nonzero = Counter()
         by_reds = Counter()
@@ -110,6 +121,10 @@ def test_censuses_to_9():
             assert by_nonzero[2 * k] == binomial(n, 2 * k) * 2 ** (n - 2 * k) * catalan(k)
         for k in range(n + 1):
             assert by_reds[n - k] == binomial(n, k) * motzkin_count(k)
+        # the catalogue's censuses agree with this letter count
+        touchard, motzkin = census["touchard", n], census["motzkin", n]
+        assert touchard.ok and touchard.record["counts"] == [by_nonzero[2 * k] for k in range(n // 2 + 1)]
+        assert motzkin.ok and motzkin.record["counts"] == [by_reds[n - k] for k in range(n + 1)]
 
 
 @criterion(5, "worked small cases match the hand tables")
@@ -152,7 +167,7 @@ def test_sampling_uniformity():
     assert statistic < CHI2_999_DOF131
 
 
-# --- criterion 8: the exhaustive checks must catch planted faults -----------
+# --- criterion 8: the catalogue must catch planted faults -------------------
 
 _SWAPPED_PAIRS = {
     (U, U): U,
@@ -182,34 +197,41 @@ def _raise_targeting_last_violation(word):
     return RestrictedGWord(letters[:last] + (U,) + letters[last + 1 :] + (D,))
 
 
-def _pair_bijection_holds(encode, n):
-    """The criterion-3 predicate for the encoding side, as a boolean."""
-    try:
-        dyck = list(enumerate_dyck(n + 1))
-        encoded = [encode(w) for w in dyck]
-        return (
-            len(set(encoded)) == len(dyck)
-            and set(encoded) == set(enumerate_g_restricted(n + 1))
-            and all(pair_decode(v) == w for w, v in zip(dyck, encoded))
-        )
-    except ValueError:
-        return False
+def _touchard_merge_flipping_a_color(decomposition):
+    colors = decomposition.colors
+    if colors:
+        colors = (not colors[0],) + colors[1:]
+    return touchard_merge(
+        TouchardDecomposition(decomposition.n, decomposition.positions, decomposition.core, colors)
+    )
 
 
-def _restriction_bijection_holds(lift, n):
-    try:
-        restricted = list(enumerate_g_restricted(n + 1))
-        return all(lift(drop_restriction(v)) == v for v in restricted) and all(
-            drop_restriction(lift(u)) == u for u in enumerate_g(n)
-        )
-    except ValueError:
-        return False
+def _motzkin_merge_shifting_a_red(decomposition):
+    reds = decomposition.red_positions
+    if reds:  # the first red slot moves one place right, cyclically
+        reds = (reds[0] % decomposition.n + 1,) + reds[1:]
+    return motzkin_merge(MotzkinDecomposition(decomposition.n, reds, decomposition.core))
 
 
-@criterion(8, "planted faults in the pair table or the lifting rule break criterion 3")
-def test_mutations_are_detected():
-    for n in range(2, 5):
-        assert _pair_bijection_holds(pair_encode, n)
-        assert _restriction_bijection_holds(raise_restriction, n)
-        assert not _pair_bijection_holds(_encode_with_swapped_colors, n)
-        assert not _restriction_bijection_holds(_raise_targeting_last_violation, n)
+PLANTED_FAULTS = (
+    ("pair", "pair_encode", _encode_with_swapped_colors),
+    ("restriction", "raise_restriction", _raise_targeting_last_violation),
+    ("touchard_split", "touchard_merge", _touchard_merge_flipping_a_color),
+    ("motzkin_split", "motzkin_merge", _motzkin_merge_shifting_a_red),
+)
+
+
+@criterion(8, "a planted fault in any map verify checks fails its record with a counterexample")
+def test_mutations_are_detected(monkeypatch):
+    assert all(check.ok for check in catalogue("roundtrip", max_roundtrip_len=4))
+    for name, target, fault in PLANTED_FAULTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(f"touchard.cli.{target}", fault)
+            checks = [c for c in catalogue("roundtrip", max_roundtrip_len=4) if c.record["bijection"] == name]
+        failed = [c for c in checks if not c.ok]
+        assert failed, name
+        for check in failed:
+            assert check.record["ok"] is False
+            walked = {str(word) for side in SIDES[name](check.record["n"]) for word in side}
+            assert check.counterexample in walked
+            assert check.record["counterexample"] == check.counterexample

@@ -37,6 +37,7 @@ from touchard import (
     validate_dyck,
     validate_g,
     validate_g_restricted,
+    validate_motzkin,
 )
 
 U, D, G, R = Letter.UP, Letter.DOWN, Letter.GREEN_ZERO, Letter.RED_ZERO
@@ -276,7 +277,8 @@ def test_decomposition_parse_errors():
         parse_touchard_decomposition("positions=[];core=DU;colors=")  # invalid core
 
 
-random_dyck = st.builds(sample_dyck, st.integers(1, 12), st.integers(0, 2**64 - 1))
+# Semilengths far past the exhaustive range (10) of the other tests.
+random_dyck = st.builds(sample_dyck, st.integers(1, 200), st.integers(0, 2**64 - 1))
 
 
 @given(word=random_dyck)
@@ -292,3 +294,26 @@ def test_encode_round_trip_on_random_words(word):
 @given(word=random_dyck)
 def test_composed_round_trip_on_random_words(word):
     assert g_to_catalan(catalan_to_g(word)) == word
+
+
+def revalidated(word, validate):
+    """``word`` after the public validator has checked its text (under ``-O`` too)."""
+    checked = validate(word.text)
+    assert checked == word
+    return checked
+
+
+@given(word=random_dyck)
+def test_every_map_pair_on_random_words(word):
+    encoded = revalidated(pair_encode(word), validate_g_restricted)
+    assert revalidated(pair_decode(encoded), validate_dyck) == word
+    grown = revalidated(catalan_to_g(word), validate_g)
+    assert revalidated(g_to_catalan(grown), validate_dyck) == word
+    raised = revalidated(raise_restriction(grown), validate_g_restricted)
+    assert revalidated(drop_restriction(raised), validate_g) == grown
+    split = touchard_split(grown)
+    revalidated(split.core, validate_dyck)
+    assert revalidated(touchard_merge(split), validate_g) == grown
+    split = motzkin_split(grown)
+    revalidated(split.core, validate_motzkin)
+    assert revalidated(motzkin_merge(split), validate_g) == grown

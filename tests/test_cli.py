@@ -12,6 +12,7 @@ import pytest
 
 from touchard import (
     GWord,
+    catalan,
     catalan_to_g,
     enumerate_g,
     sample_dyck,
@@ -247,13 +248,19 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
         return GWord(tuple(swap.get(letter, letter) for letter in dropped.letters))
 
     monkeypatch.setattr("touchard.cli.drop_restriction", faulty_drop)
-    status, out, err = run(
-        ["verify", "--max-identity-n", "0", "--max-census-n", "0", "--max-roundtrip-len", "3"],
-        capsys,
-    )
+    argv = ["verify", "--max-identity-n", "0", "--max-census-n", "0", "--max-roundtrip-len", "3"]
+    status, out, err = run(argv, capsys)
     assert status == 1
-    assert "roundtrip=restriction" in err and "ok=false" in err
-    assert any("roundtrip=restriction" in line and "ok=false" in line for line in out.splitlines())
+    # drop("UD") is "G" instead of "R", and raise("G") is "GG", not "UD"
+    assert err == "verify: first failing check: roundtrip=restriction n=1 words=4 ok=false counterexample=UD\n"
+    assert "roundtrip=restriction n=1 words=4 ok=false" in out.splitlines()
+
+    status, out, json_err = run(argv + ["--format", "ndjson"], capsys)
+    assert (status, json_err) == (1, err)
+    records = [json.loads(line) for line in out.splitlines()]
+    failed = [r for r in records if not r["ok"]]
+    assert [r["counterexample"] for r in failed] == ["UD", "UGD", "UUDD"]
+    assert all("counterexample" not in r for r in records if r["ok"])
 
 
 def test_cmd_verify_accepts_config_object():
@@ -308,6 +315,25 @@ def test_unexpected_exception_is_one_error_line():
     """)
     status, out, err = run_python("-c", code)
     assert (status, out, err) == (1, "", "error: unexpected RuntimeError: planted fault\n")
+
+
+def test_count_prints_past_the_int_to_str_digit_limit():
+    # C_100000 has 60,199 digits, past CPython's default limit of 4,300;
+    # main lifts the limit while it runs and puts it back afterwards.
+    code = textwrap.dedent("""
+        import sys
+        from touchard.cli import main
+
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = digit_limit()
+        status = main(["count", "catalan", "100000"])
+        sys.exit(status if digit_limit() == before else 3)
+    """)
+    status, out, err = run_python("-c", code)
+    assert (status, err) == (0, "")
+    digits = out.strip()
+    assert len(digits) == 60199 and digits.isdigit()
+    assert int(digits[-12:]) == catalan(100000) % 10**12
 
 
 def test_public_constructors_check_under_optimize():

@@ -36,9 +36,9 @@ def step_lines(svg):
 
 def test_to_drawing_examples():
     assert drawing("").steps == ()
-    assert drawing("URD").steps == (Step(1, 1, NEUTRAL), Step(1, 0, RED), Step(1, -1, NEUTRAL))
-    assert drawing("G").steps == (Step(1, 0, GREEN),)
-    assert drawing("H").steps == (Step(1, 0, NEUTRAL),)
+    assert drawing("URD").steps == (Step(1, NEUTRAL), Step(0, RED), Step(-1, NEUTRAL))
+    assert drawing("G").steps == (Step(0, GREEN),)
+    assert drawing("H").steps == (Step(0, NEUTRAL),)
     assert drawing("UUDD").height == 2
     assert drawing("UUDD").width == 4
 
