@@ -264,8 +264,20 @@ _TOUCHARD_LINE = re.compile(r"positions=\[([\d,]*)\];core=(\w*);colors=([01]*)")
 _MOTZKIN_LINE = re.compile(r"red=\[([\d,]*)\];core=(\w*)")
 
 
-def _parse_positions(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p)
+def _parse_positions(text: str, other_slots: int) -> tuple[int, ...]:
+    """The positions field of a line whose word has ``other_slots`` more slots.
+
+    No position exceeds n, the number of slots.  A field with a nonzero digit ahead of its last
+    len(str(n)) digits reads as n + 1, failing the same range check without a conversion whose
+    time grows with the square of its length.
+    """
+    fields = [p for p in text.split(",") if p]
+    n = len(fields) + other_slots
+    width = len(str(n))
+    return tuple([
+        int(p) if len(p) <= width else n + 1 if any(map(int, set(p[:-width]))) else int(p[-width:])
+        for p in fields
+    ])
 
 
 def format_touchard_decomposition(decomposition: TouchardDecomposition) -> str:
@@ -279,9 +291,9 @@ def parse_touchard_decomposition(line: str) -> TouchardDecomposition:
     match = _TOUCHARD_LINE.fullmatch(line)
     if match is None:
         raise InvalidDecomposition(f"cannot parse decomposition line {line!r}")
-    positions = _parse_positions(match.group(1))
-    core = validate_dyck(match.group(2))
     colors = tuple(bit == "1" for bit in match.group(3))
+    positions = _parse_positions(match.group(1), len(colors))
+    core = validate_dyck(match.group(2))
     return TouchardDecomposition(len(positions) + len(colors), positions, core, colors)
 
 
@@ -295,6 +307,6 @@ def parse_motzkin_decomposition(line: str) -> MotzkinDecomposition:
     match = _MOTZKIN_LINE.fullmatch(line)
     if match is None:
         raise InvalidDecomposition(f"cannot parse decomposition line {line!r}")
-    red_positions = _parse_positions(match.group(1))
+    red_positions = _parse_positions(match.group(1), len(match.group(2)))
     core = validate_motzkin(match.group(2))
     return MotzkinDecomposition(len(red_positions) + len(core), red_positions, core)

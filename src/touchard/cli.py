@@ -308,10 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check identities, round trips, and censuses")
-    p.add_argument("--max-identity-n", type=_nonneg, default=200)
-    p.add_argument("--max-census-n", type=_nonneg, default=9)
-    p.add_argument("--max-roundtrip-len", type=_nonneg, default=10)
-    p.add_argument("--format", choices=("text", "ndjson"), default="text")
+    p.add_argument("--max-identity-n", type=_nonneg, default=VerifyConfig.max_identity_n)
+    p.add_argument("--max-census-n", type=_nonneg, default=VerifyConfig.max_census_n)
+    p.add_argument("--max-roundtrip-len", type=_nonneg, default=VerifyConfig.max_roundtrip_len)
+    p.add_argument("--format", choices=("text", "ndjson"), default=VerifyConfig.output_format)
 
     p = sub.add_parser("map", help="apply a bijection to each input line")
     p.add_argument("direction", choices=MAP_DIRECTIONS)
@@ -343,12 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "verify":
-        cfg = VerifyConfig(
-            max_identity_n=args.max_identity_n,
-            max_census_n=args.max_census_n,
-            max_roundtrip_len=args.max_roundtrip_len,
-            output_format=args.format,
-        )
+        cfg = VerifyConfig(args.max_identity_n, args.max_census_n, args.max_roundtrip_len, args.format)
         return cmd_verify(cfg, sys.stdout, sys.stderr)
     if args.command == "map":
         lines = [args.word] if args.word is not None else sys.stdin

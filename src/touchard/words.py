@@ -29,9 +29,10 @@ maps' outputs explicitly.
 ``Letter``, ``Word.letters`` and ``prefix_sums`` give a view of a word
 as a tuple of ``Letter`` members.
 
-Enumeration is lexicographic under the fixed letter order
-U < G < R < D (U < H < D for Motzkin words), chosen so golden outputs
-are stable.
+Enumeration is lexicographic under the letter order of each class's
+alphabet: U < D for Dyck words, U < G < R < D for G-words and
+restricted words, U < H < D for Motzkin words.  The order is fixed so
+golden outputs are stable.
 """
 
 from __future__ import annotations
@@ -57,11 +58,6 @@ class Letter(Enum):
     def __repr__(self) -> str:
         return f"Letter.{self.name}"
 
-
-# Tuple order doubles as the lexicographic enumeration order.
-DYCK_ALPHABET = (Letter.UP, Letter.DOWN)
-G_ALPHABET = (Letter.UP, Letter.GREEN_ZERO, Letter.RED_ZERO, Letter.DOWN)
-MOTZKIN_ALPHABET = (Letter.UP, Letter.FLAT, Letter.DOWN)
 
 _BY_SYMBOL = {letter.symbol: letter for letter in Letter}
 STEP = {letter.symbol: letter.step for letter in Letter}
@@ -107,41 +103,6 @@ def _text(letters: str | Iterable[Letter]) -> str:
     return "".join([letter.symbol for letter in letters])
 
 
-def _check_path(text: str, alphabet: str, family: str) -> None:
-    height = 0
-    for i, ch in enumerate(text):
-        if ch not in alphabet:
-            raise BadAlphabet(f"{family} word may not contain {ch!r} (position {i + 1})")
-        height += STEP[ch]
-        if height < 0:
-            raise NegativePrefix(f"prefix sum falls below zero at position {i + 1}")
-    if height != 0:
-        raise NotBalanced(f"letters sum to {height}, not zero")
-
-
-def _check_dyck(text: str) -> None:
-    _check_path(text, "UD", "Dyck")
-
-
-def _check_g(text: str) -> None:
-    _check_path(text, "UGRD", "bicolored Motzkin")
-
-
-def _check_g_restricted(text: str) -> None:
-    if not text:
-        raise WordError("a restricted word has at least one letter")
-    _check_g(text)
-    height = 0
-    for i, ch in enumerate(text):
-        if ch == "R" and height == 0:
-            raise RedZeroAtGroundLevel(f"red zero at position {i + 1} sits at ground level")
-        height += STEP[ch]
-
-
-def _check_motzkin(text: str) -> None:
-    _check_path(text, "UHD", "Motzkin")
-
-
 class Word:
     """Shared behavior of the validated word types.
 
@@ -151,6 +112,8 @@ class Word:
 
     __slots__ = ("text",)
     text: str
+    _alphabet: str  # the family's letters, in enumeration order
+    _family: str  # the family's name in error messages
 
     def __init__(self, letters: str | Iterable[Letter]) -> None:
         text = _text(letters)
@@ -164,9 +127,18 @@ class Word:
         _set_text(word, text)
         return word
 
-    @staticmethod
-    def _check(text: str) -> None:
-        raise NotImplementedError
+    @classmethod
+    def _check(cls, text: str) -> None:
+        alphabet = cls._alphabet
+        height = 0
+        for i, ch in enumerate(text):
+            if ch not in alphabet:
+                raise BadAlphabet(f"{cls._family} word may not contain {ch!r} (position {i + 1})")
+            height += STEP[ch]
+            if height < 0:
+                raise NegativePrefix(f"prefix sum falls below zero at position {i + 1}")
+        if height != 0:
+            raise NotBalanced(f"letters sum to {height}, not zero")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -211,7 +183,8 @@ class DyckWord(Word):
     """A balanced up/down word whose prefix sums stay non-negative."""
 
     __slots__ = ()
-    _check = staticmethod(_check_dyck)
+    _alphabet = "UD"
+    _family = "Dyck"
 
     @property
     def semilength(self) -> int:
@@ -222,21 +195,33 @@ class GWord(Word):
     """A bicolored Motzkin word (zero letters colored green or red)."""
 
     __slots__ = ()
-    _check = staticmethod(_check_g)
+    _alphabet = "UGRD"
+    _family = "bicolored Motzkin"
 
 
 class RestrictedGWord(GWord):
     """A GWord whose red zeros all sit strictly above ground level."""
 
     __slots__ = ()
-    _check = staticmethod(_check_g_restricted)
+
+    @classmethod
+    def _check(cls, text: str) -> None:
+        if not text:
+            raise WordError("a restricted word has at least one letter")
+        super()._check(text)
+        height = 0
+        for i, ch in enumerate(text):
+            if ch == "R" and height == 0:
+                raise RedZeroAtGroundLevel(f"red zero at position {i + 1} sits at ground level")
+            height += STEP[ch]
 
 
 class MotzkinWord(Word):
     """An up/flat/down word, balanced with non-negative prefix sums."""
 
     __slots__ = ()
-    _check = staticmethod(_check_motzkin)
+    _alphabet = "UHD"
+    _family = "Motzkin"
 
 
 def validate_dyck(letters: str | Iterable[Letter]) -> DyckWord:
@@ -267,29 +252,20 @@ def parse_letters(text: str) -> tuple[Letter, ...]:
     return tuple(map(_BY_SYMBOL.__getitem__, _text(text)))
 
 
-# For each symbol, the symbols after it in enumeration order (within the
-# families that use it).
-_LATER = {
-    "dyck": {"U": "D", "D": ""},
-    "g": {"U": "GRD", "G": "RD", "R": "D", "D": ""},
-    "motzkin": {"U": "HD", "H": "D", "D": ""},
-}
-
-
-def _paths(length: int, family: str, ground_red_ok: bool = True) -> Iterator[str]:
-    """Balanced non-negative words of ``length`` letters in lexicographic order.
+def _paths(length: int, alphabet: str, ground_red_ok: bool = True) -> Iterator[str]:
+    """Balanced non-negative words of ``length`` letters, in ``alphabet``'s lexicographic order.
 
     Each word is the successor of the one before: change the last letter
-    that can grow to its next larger letter, then append the smallest
-    completion.  A height h with r letters left can be completed iff
-    0 <= h <= r, and the smallest completion is U^a Z^(r-h-2a) D^(h+a)
-    with a = (r-h)//2 and Z the family's green or flat zero (r-h is
+    that can grow to a later letter of the alphabet, then append the
+    smallest completion.  A height h with r letters left can be completed
+    iff 0 <= h <= r, and the smallest completion is U^a Z^(r-h-2a) D^(h+a)
+    with a = (r-h)//2 and Z = alphabet[1], the green or flat zero (r-h is
     always even for Dyck words).  Restricted words (``ground_red_ok``
     false) also refuse a red zero at height 0; the smallest completion
     never holds a red zero.  Memory is O(length).
     """
-    later = _LATER[family]
-    zero = "H" if family == "motzkin" else "G"
+    later = {ch: alphabet[i + 1 :] for i, ch in enumerate(alphabet)}
+    zero = alphabet[1]
 
     def completion(height: int, remaining: int) -> str:
         ups, odd = divmod(remaining - height, 2)
@@ -323,7 +299,7 @@ def enumerate_dyck(n: int) -> Iterator[DyckWord]:
     """
     if n < 0:
         raise ValueError("semilength must be non-negative")
-    yield from map(DyckWord._trusted, _paths(2 * n, "dyck"))
+    yield from map(DyckWord._trusted, _paths(2 * n, DyckWord._alphabet))
 
 
 def enumerate_g(n: int) -> Iterator[GWord]:
@@ -333,7 +309,7 @@ def enumerate_g(n: int) -> Iterator[GWord]:
     """
     if n < 0:
         raise ValueError("length must be non-negative")
-    yield from map(GWord._trusted, _paths(n, "g"))
+    yield from map(GWord._trusted, _paths(n, GWord._alphabet))
 
 
 def enumerate_g_restricted(length: int) -> Iterator[RestrictedGWord]:
@@ -346,14 +322,14 @@ def enumerate_g_restricted(length: int) -> Iterator[RestrictedGWord]:
         raise ValueError("length must be non-negative")
     if length == 0:
         return
-    yield from map(RestrictedGWord._trusted, _paths(length, "g", ground_red_ok=False))
+    yield from map(RestrictedGWord._trusted, _paths(length, RestrictedGWord._alphabet, ground_red_ok=False))
 
 
 def enumerate_motzkin(k: int) -> Iterator[MotzkinWord]:
     """All Motzkin words of length k, lexicographically (U < H < D)."""
     if k < 0:
         raise ValueError("length must be non-negative")
-    yield from map(MotzkinWord._trusted, _paths(k, "motzkin"))
+    yield from map(MotzkinWord._trusted, _paths(k, MotzkinWord._alphabet))
 
 
 _MASK64 = (1 << 64) - 1

@@ -277,6 +277,22 @@ def test_decomposition_parse_errors():
         parse_touchard_decomposition("positions=[];core=DU;colors=")  # invalid core
 
 
+@given(fields=st.lists(st.text("0123456789", min_size=1, max_size=12), max_size=6), flats=st.integers(0, 12))
+def test_position_fields_parse_as_their_values(fields, flats):
+    # The parser reads a field longer than n's digits without converting it whole; the
+    # decomposition (or its error) must be the one the fields' exact values give.
+    core = MotzkinWord("H" * flats)
+    line = f"red=[{','.join(fields)}];core={core}"
+    try:
+        expected = MotzkinDecomposition(len(fields) + flats, map(int, fields), core)
+    except InvalidDecomposition as exc:
+        with pytest.raises(InvalidDecomposition) as raised:
+            parse_motzkin_decomposition(line)
+        assert str(raised.value) == str(exc)
+    else:
+        assert parse_motzkin_decomposition(line) == expected
+
+
 # Semilengths far past the exhaustive range (10) of the other tests.
 random_dyck = st.builds(sample_dyck, st.integers(1, 200), st.integers(0, 2**64 - 1))
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from touchard import (
     enumerate_g,
     sample_dyck,
 )
-from touchard.cli import VerifyConfig, cmd_verify, main
+from touchard.cli import VerifyConfig, build_parser, cmd_verify, main, run_checks
 
 U_G_2 = "UD\nGG\nGR\nRG\nRR\n"
 
@@ -102,6 +103,18 @@ def test_map_rejects_unbalanced_word(capsys):
     status, out, err = run(["map", "encode", "--word", "UUD"], capsys)
     assert (status, out) == (1, "")
     assert "line 1" in err
+
+
+def test_map_rejects_a_huge_position_at_once(capsys, monkeypatch):
+    # main lifts the int-to-str digit limit; a million-digit field must still not be converted whole.
+    line = "positions=[1," + "9" * 1_000_000 + "];core=UD;colors=0\n"
+    start = time.perf_counter()
+    status, out, err = run(["map", "tmerge"], capsys, stdin=line, monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 1
+    assert (status, out, err) == (1, "", "line 1: positions must lie in 1..3\n")
+    line = "red=[" + "0" * 1_000_000 + "2];core=UD\n"  # leading zeros still parse
+    status, out, err = run(["map", "mmerge"], capsys, stdin=line, monkeypatch=monkeypatch)
+    assert (status, out, err) == (0, "URD\n", "")
 
 
 def test_render_ascii(capsys):
@@ -225,12 +238,20 @@ def test_verify_ndjson_mirrors_text(capsys):
     ]
 
 
-def test_verify_defaults_pass(capsys):
-    status, out, err = run(["verify"], capsys)
-    assert (status, err) == (0, "")
-    lines = out.splitlines()
-    assert sum(1 for line in lines if line.startswith("identity=")) == 402
-    assert all(" ok=false" not in line and " holds=false" not in line for line in lines)
+def test_verify_parser_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["verify"])
+    parsed = (args.max_identity_n, args.max_census_n, args.max_roundtrip_len, args.format)
+    default = VerifyConfig()
+    assert parsed == (default.max_identity_n, default.max_census_n, default.max_roundtrip_len, default.output_format)
+
+
+def test_verify_default_identity_checks_pass():
+    # The default round trips and censuses run in the acceptance suite (criteria 3 and 4).
+    checks = list(run_checks(VerifyConfig(max_census_n=0, max_roundtrip_len=0)))
+    identities = [check for check in checks if check.record["check"] == "identity"]
+    assert len(identities) == 402
+    assert max(check.record["n"] for check in identities) == 200
+    assert all(check.ok for check in checks)
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):

@@ -33,7 +33,7 @@ from touchard import (
     validate_g_restricted,
     validate_motzkin,
 )
-from touchard.words import DYCK_ALPHABET, G_ALPHABET, MOTZKIN_ALPHABET
+from tuple_reference import DYCK_ALPHABET, G_ALPHABET, MOTZKIN_ALPHABET
 
 U, D, G, R, H = Letter.UP, Letter.DOWN, Letter.GREEN_ZERO, Letter.RED_ZERO, Letter.FLAT
 
