@@ -260,24 +260,21 @@ def motzkin_merge(decomposition: MotzkinDecomposition) -> GWord:
     )
 
 
-_TOUCHARD_LINE = re.compile(r"positions=\[([\d,]*)\];core=(\w*);colors=([01]*)")
-_MOTZKIN_LINE = re.compile(r"red=\[([\d,]*)\];core=(\w*)")
+_TOUCHARD_LINE = re.compile(r"positions=\[([0-9,]*)\];core=(\w*);colors=([01]*)")
+_MOTZKIN_LINE = re.compile(r"red=\[([0-9,]*)\];core=(\w*)")
 
 
 def _parse_positions(text: str, other_slots: int) -> tuple[int, ...]:
     """The positions field of a line whose word has ``other_slots`` more slots.
 
-    No position exceeds n, the number of slots.  A field with a nonzero digit ahead of its last
-    len(str(n)) digits reads as n + 1, failing the same range check without a conversion whose
-    time grows with the square of its length.
+    No position exceeds n, the number of slots.  A field that keeps more than len(str(n)) digits
+    after its leading zeros reads as n + 1, failing the same range check without a conversion
+    whose time grows with the square of its length.
     """
-    fields = [p for p in text.split(",") if p]
+    fields = [p.lstrip("0") or "0" for p in text.split(",") if p]
     n = len(fields) + other_slots
     width = len(str(n))
-    return tuple([
-        int(p) if len(p) <= width else n + 1 if any(map(int, set(p[:-width]))) else int(p[-width:])
-        for p in fields
-    ])
+    return tuple([int(p) if len(p) <= width else n + 1 for p in fields])
 
 
 def format_touchard_decomposition(decomposition: TouchardDecomposition) -> str:

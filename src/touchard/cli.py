@@ -237,16 +237,17 @@ def cmd_enumerate(kind: str, length: int, count_only: bool, out: IO[str]) -> int
     return 0
 
 
+_COUNTS = {
+    "catalan": lambda n: str(catalan(n)),
+    "motzkin": lambda n: str(motzkin_count(n)),
+    "touchard-rhs": lambda n: touchard_rhs(n).format_line(),
+    "motzkin-rhs": lambda n: motzkin_rhs(n).format_line(),
+}
+
+
 def cmd_count(which: str, n: int, out: IO[str]) -> int:
     """Print one exact number or one identity-report line."""
-    if which == "catalan":
-        out.write(f"{catalan(n)}\n")
-    elif which == "motzkin":
-        out.write(f"{motzkin_count(n)}\n")
-    elif which == "touchard-rhs":
-        out.write(touchard_rhs(n).format_line() + "\n")
-    else:
-        out.write(motzkin_rhs(n).format_line() + "\n")
+    out.write(_COUNTS[which](n) + "\n")
     return 0
 
 
@@ -312,50 +313,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-census-n", type=_nonneg, default=VerifyConfig.max_census_n)
     p.add_argument("--max-roundtrip-len", type=_nonneg, default=VerifyConfig.max_roundtrip_len)
     p.add_argument("--format", choices=("text", "ndjson"), default=VerifyConfig.output_format)
+    p.set_defaults(run=lambda a: cmd_verify(
+        VerifyConfig(a.max_identity_n, a.max_census_n, a.max_roundtrip_len, a.format), sys.stdout, sys.stderr
+    ))
 
     p = sub.add_parser("map", help="apply a bijection to each input line")
     p.add_argument("direction", choices=MAP_DIRECTIONS)
     p.add_argument("--word", help="single input line (default: read stdin)")
+    p.set_defaults(run=lambda a: cmd_map(
+        a.direction, [a.word] if a.word is not None else sys.stdin, sys.stdout, sys.stderr
+    ))
 
     p = sub.add_parser("enumerate", help="list all words of a family")
     p.add_argument("kind", choices=tuple(_ENUMERATORS))
     p.add_argument("--length", type=_nonneg, required=True,
                    help="word length (semilength for dyck)")
     p.add_argument("--count-only", action="store_true")
+    p.set_defaults(run=lambda a: cmd_enumerate(a.kind, a.length, a.count_only, sys.stdout))
 
     p = sub.add_parser("count", help="exact counts and identity reports")
-    p.add_argument("which", choices=("catalan", "motzkin", "touchard-rhs", "motzkin-rhs"))
+    p.add_argument("which", choices=tuple(_COUNTS))
     p.add_argument("n", type=_nonneg)
+    p.set_defaults(run=lambda a: cmd_count(a.which, a.n, sys.stdout))
 
     p = sub.add_parser("render", help="draw one word")
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     p.add_argument("--word", help="word to draw (default: first stdin line)")
     p.add_argument("--unit", type=_positive, default=20, help="pixels per step (svg)")
+    p.set_defaults(run=lambda a: cmd_render(
+        a.format, (a.word if a.word is not None else sys.stdin.readline()).strip(), a.unit, sys.stdout
+    ))
 
     p = sub.add_parser("sample", help="draw one uniform random word")
     p.add_argument("kind", choices=("dyck", "g"))
     p.add_argument("--length", type=_nonneg, required=True,
                    help="word length (semilength for dyck)")
     p.add_argument("--seed", type=_seed, default=0)
+    p.set_defaults(run=lambda a: cmd_sample(a.kind, a.length, a.seed, sys.stdout))
 
     return parser
-
-
-def _run(args: argparse.Namespace) -> int:
-    if args.command == "verify":
-        cfg = VerifyConfig(args.max_identity_n, args.max_census_n, args.max_roundtrip_len, args.format)
-        return cmd_verify(cfg, sys.stdout, sys.stderr)
-    if args.command == "map":
-        lines = [args.word] if args.word is not None else sys.stdin
-        return cmd_map(args.direction, lines, sys.stdout, sys.stderr)
-    if args.command == "enumerate":
-        return cmd_enumerate(args.kind, args.length, args.count_only, sys.stdout)
-    if args.command == "count":
-        return cmd_count(args.which, args.n, sys.stdout)
-    if args.command == "render":
-        line = args.word if args.word is not None else sys.stdin.readline()
-        return cmd_render(args.format, line.strip(), args.unit, sys.stdout)
-    return cmd_sample(args.kind, args.length, args.seed, sys.stdout)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -366,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        status = _run(args)
+        status = args.run(args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -11,6 +11,7 @@ Both renderers are deterministic byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from .words import Word
@@ -54,12 +55,12 @@ class PathDrawing:
     @property
     def height(self) -> int:
         """Maximum height the path reaches."""
-        level = 0
-        top = 0
-        for step in self.steps:
-            level += step.dy
-            top = max(top, level)
-        return top
+        return max(_levels(self.steps))
+
+
+def _levels(steps: tuple[Step, ...]) -> list[int]:
+    """The height before each step, followed by the final height."""
+    return list(accumulate((step.dy for step in steps), initial=0))
 
 
 def to_drawing(word: Word) -> PathDrawing:
@@ -70,26 +71,16 @@ def to_drawing(word: Word) -> PathDrawing:
 def render_ascii(drawing: PathDrawing) -> str:
     """Character grid: '/' up, '\\' down, '-' green or plain flat, '=' red flat.
 
-    Each glyph fills the cell its step passes through ('/' and '\\'
-    occupy the cell between their endpoints, flats sit at their level),
-    so a single arch is the one-line ``/\\``.  Rows are padded with
-    spaces to the word's length; the grid is at least one row tall.
+    A glyph sits in the row of the lower of its step's two end heights, so '/' and
+    '\\' fill the cell between their endpoints, flats sit at their level, and a single
+    arch is the one-line ``/\\``.  Rows are padded with spaces to the word's length;
+    the grid is at least one row tall.
     """
-    placed = []  # (row, column, glyph)
-    level = 0
-    top = 0
-    for column, step in enumerate(drawing.steps):
-        if step.dy > 0:
-            row, glyph = level, "/"
-        elif step.dy < 0:
-            row, glyph = level - 1, "\\"
-        else:
-            row, glyph = level, "=" if step.color == RED else "-"
-        placed.append((row, column, glyph))
-        top = max(top, row)
-        level += step.dy
-    grid = [[" "] * drawing.width for _ in range(top + 1)]
-    for row, column, glyph in placed:
+    levels = _levels(drawing.steps)
+    rows = list(map(min, levels, levels[1:]))
+    grid = [[" "] * drawing.width for _ in range(max(rows, default=0) + 1)]
+    for column, (row, step) in enumerate(zip(rows, drawing.steps)):
+        glyph = "/" if step.dy > 0 else "\\" if step.dy < 0 else "=" if step.color == RED else "-"
         grid[row][column] = glyph
     return "\n".join("".join(line) for line in reversed(grid))
 
@@ -108,7 +99,8 @@ def render_svg(drawing: PathDrawing, unit: int = 20) -> str:
     if unit <= 0:
         raise ValueError("unit must be positive")
     margin = unit
-    top = drawing.height
+    levels = _levels(drawing.steps)
+    top = max(levels)
     width = drawing.width * unit + 2 * margin
     height = top * unit + 2 * margin
     axis_y = margin + top * unit
@@ -118,17 +110,13 @@ def render_svg(drawing: PathDrawing, unit: int = 20) -> str:
         f'  <line class="axis" x1="0" y1="{axis_y}" x2="{width}" y2="{axis_y}"'
         f' stroke="{AXIS_HEX}" stroke-dasharray="4 3"/>',
     ]
-    level = 0
     for i, step in enumerate(drawing.steps):
         x1 = margin + i * unit
-        y1 = axis_y - level * unit
-        level += step.dy
-        x2 = x1 + unit
-        y2 = axis_y - level * unit
-        stroke = _STROKE_BY_COLOR[step.color]
+        y1 = axis_y - levels[i] * unit
+        y2 = axis_y - levels[i + 1] * unit
         parts.append(
-            f'  <line class="step" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"'
-            f' stroke="{stroke}" stroke-width="2"/>'
+            f'  <line class="step" x1="{x1}" y1="{y1}" x2="{x1 + unit}" y2="{y2}"'
+            f' stroke="{_STROKE_BY_COLOR[step.color]}" stroke-width="2"/>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

@@ -271,6 +271,11 @@ def test_decomposition_parse_errors():
     for line in ("", "positions=[1];core=UD", "positions=[a];core=;colors=", "red=1;core="):
         with pytest.raises(InvalidDecomposition):
             parse_touchard_decomposition(line)
+    # Positions are ASCII digits only: Arabic-Indic and fullwidth digits do not parse.
+    with pytest.raises(InvalidDecomposition, match="cannot parse decomposition line"):
+        parse_touchard_decomposition("positions=[\u0661,\u0662];core=UD;colors=")
+    with pytest.raises(InvalidDecomposition, match="cannot parse decomposition line"):
+        parse_motzkin_decomposition("red=[\uff12];core=UD")
     with pytest.raises(ValueError):
         parse_motzkin_decomposition("red=[1];core=G")  # G is not a Motzkin letter
     with pytest.raises(ValueError):

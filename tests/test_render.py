@@ -5,17 +5,19 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from touchard import (
+    catalan_to_g,
     enumerate_g,
     enumerate_g_restricted,
     enumerate_motzkin,
     parse_letters,
     render_ascii,
     render_svg,
+    sample_dyck,
     to_drawing,
     validate_g,
     validate_motzkin,
 )
-from touchard.render import GREEN, NEUTRAL, RED, RED_HEX, Step
+from touchard.render import AXIS_HEX, GREEN, GREEN_HEX, NEUTRAL, NEUTRAL_HEX, RED, RED_HEX, Step
 
 
 def drawing(text):
@@ -154,3 +156,76 @@ def test_svg_rejects_bad_unit():
         render_svg(drawing("UD"), 0)
     with pytest.raises(ValueError):
         render_svg(drawing("UD"), -3)
+
+
+# The renderers' earlier bodies, each walking the heights with its own counter: the
+# reference the one-walk versions must match byte for byte.
+def reference_height(drawing):
+    level = 0
+    top = 0
+    for step in drawing.steps:
+        level += step.dy
+        top = max(top, level)
+    return top
+
+
+def reference_ascii(drawing):
+    placed = []  # (row, column, glyph)
+    level = 0
+    top = 0
+    for column, step in enumerate(drawing.steps):
+        if step.dy > 0:
+            row, glyph = level, "/"
+        elif step.dy < 0:
+            row, glyph = level - 1, "\\"
+        else:
+            row, glyph = level, "=" if step.color == RED else "-"
+        placed.append((row, column, glyph))
+        top = max(top, row)
+        level += step.dy
+    grid = [[" "] * len(drawing.steps) for _ in range(top + 1)]
+    for row, column, glyph in placed:
+        grid[row][column] = glyph
+    return "\n".join("".join(line) for line in reversed(grid))
+
+
+def reference_svg(drawing, unit):
+    stroke_by_color = {NEUTRAL: NEUTRAL_HEX, GREEN: GREEN_HEX, RED: RED_HEX}
+    margin = unit
+    top = reference_height(drawing)
+    width = len(drawing.steps) * unit + 2 * margin
+    height = top * unit + 2 * margin
+    axis_y = margin + top * unit
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
+        f' viewBox="0 0 {width} {height}">',
+        f'  <line class="axis" x1="0" y1="{axis_y}" x2="{width}" y2="{axis_y}"'
+        f' stroke="{AXIS_HEX}" stroke-dasharray="4 3"/>',
+    ]
+    level = 0
+    for i, step in enumerate(drawing.steps):
+        x1 = margin + i * unit
+        y1 = axis_y - level * unit
+        level += step.dy
+        x2 = x1 + unit
+        y2 = axis_y - level * unit
+        parts.append(
+            f'  <line class="step" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"'
+            f' stroke="{stroke_by_color[step.color]}" stroke-width="2"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def test_renderers_match_the_reference_walks():
+    # Every G-word and Motzkin word up to length 8, then sampled long G-words (semilength
+    # 501, as in the long-words benchmark) and long Dyck words.
+    words = [word for n in range(9) for word in (*enumerate_g(n), *enumerate_motzkin(n))]
+    words += [catalan_to_g(sample_dyck(502, seed)) for seed in range(24)]
+    words += [sample_dyck(300, seed) for seed in range(12)]
+    for word in words:
+        drawing = to_drawing(word)
+        assert drawing.height == reference_height(drawing), word
+        assert render_ascii(drawing) == reference_ascii(drawing), word
+        for unit in (1, 7, 20):
+            assert render_svg(drawing, unit) == reference_svg(drawing, unit), (word, unit)
