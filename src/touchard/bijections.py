@@ -24,13 +24,15 @@ decompositions class by class yields
     C_{n+1} = sum_k binom(n, 2k) 2^(n-2k) C_k   and
     C_{n+1} = sum_k binom(n, k) M_k.
 
-All maps are pure and work on the words' text.  Their inputs are valid
-words of their domain, and they build their outputs through the trusted
-constructor of ``words`` without re-checking them: each docstring gives
-the reason the output is valid, and ``touchard verify`` checks it on
-every word up to its bound.  Decompositions check their structure
-whenever they are built.  Position indices in decompositions and in
-their line formats are 1-based.
+All maps are pure and work on the words' text.  Each checks the class of
+its input: a word of another family raises WordError, and a merge given
+anything but its own decomposition type raises InvalidDecomposition.
+They build their outputs through the trusted constructor of ``words``
+without re-checking them: each docstring gives the reason the output is
+valid, and ``touchard verify`` checks it on every word up to its bound.
+Decompositions check their structure, core class included, whenever
+they are built.  Position indices in decompositions and in their line
+formats are 1-based.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .words import (
     GWord,
     MotzkinWord,
     RestrictedGWord,
+    WordError,
     validate_dyck,
     validate_motzkin,
 )
@@ -53,6 +56,11 @@ from .words import (
 
 class InvalidDecomposition(ValueError):
     """A decomposition's fields are structurally inconsistent."""
+
+
+def _wrong_input(expected: type, given: object, error: type[ValueError] = WordError) -> ValueError:
+    """The error for a map given ``given`` where it takes an ``expected`` value."""
+    return error(f"expected a {expected.__name__}, not a {type(given).__name__}")
 
 
 _PAIR_TO_LETTER = {"UU": "U", "UD": "G", "DU": "R", "DD": "D"}
@@ -67,6 +75,8 @@ def pair_encode(word: DyckWord) -> RestrictedGWord:
     prefix sums, so the result is again balanced and non-negative, and
     every red zero lands strictly above ground level.
     """
+    if not isinstance(word, DyckWord):
+        raise _wrong_input(DyckWord, word)
     text = word.text
     if not text:
         raise ValueError("pair encoding needs at least one letter pair")
@@ -76,6 +86,8 @@ def pair_encode(word: DyckWord) -> RestrictedGWord:
 
 def pair_decode(word: RestrictedGWord) -> DyckWord:
     """Expand each bicolored letter back into its two-letter Dyck block."""
+    if not isinstance(word, RestrictedGWord):
+        raise _wrong_input(RestrictedGWord, word)
     return DyckWord._trusted(word.text.translate(_LETTER_TO_PAIR))
 
 
@@ -89,6 +101,8 @@ def drop_restriction(word: RestrictedGWord) -> GWord:
     That red zero lands at ground level, ahead of any other ground-level
     red zero in the result.
     """
+    if not isinstance(word, RestrictedGWord):
+        raise _wrong_input(RestrictedGWord, word)
     text = word.text
     if text[-1] == "G":
         return GWord._trusted(text[:-1])
@@ -111,6 +125,8 @@ def raise_restriction(word: GWord) -> RestrictedGWord:
     replace the first ground-level red zero with an up-step and append a
     down-step, rebuilding the arch that ``drop_restriction`` removed.
     """
+    if not isinstance(word, GWord):
+        raise _wrong_input(GWord, word)
     text = word.text
     height = 0
     start = 0
@@ -154,7 +170,8 @@ class TouchardDecomposition:
 
     ``positions`` lists the 1-based slots of the 2k up/down letters,
     ``core`` is the Dyck word they spell, and ``colors`` gives the color
-    of each remaining zero slot in position order (True = red).  There
+    of each remaining zero slot in position order (True = red).  ``n``,
+    the number of slots they fill, is len(positions) + len(colors).  There
     are binom(n, 2k) * C_k * 2^(n-2k) decompositions with |positions| = 2k.
     """
 
@@ -163,13 +180,14 @@ class TouchardDecomposition:
     core: DyckWord
     colors: tuple[bool, ...]
 
-    def __init__(self, n: int, positions: Iterable[int], core: DyckWord, colors: Iterable[bool]) -> None:
+    def __init__(self, positions: Iterable[int], core: DyckWord, colors: Iterable[bool]) -> None:
         positions = tuple(positions)
         colors = tuple(map(bool, colors))
-        if len(positions) != 2 * core.semilength:
+        if not isinstance(core, DyckWord):
+            raise InvalidDecomposition(f"the core must be a DyckWord, not a {type(core).__name__}")
+        if len(positions) != len(core):
             raise InvalidDecomposition("positions must hold one slot per core letter")
-        if len(colors) != n - len(positions):
-            raise InvalidDecomposition("colors must cover exactly the zero slots")
+        n = len(positions) + len(colors)
         _check_slots(positions, n, "positions")
         # One write past the frozen __setattr__, instead of one call per field.
         self.__dict__.update(n=n, positions=positions, core=core, colors=colors)
@@ -181,18 +199,20 @@ class MotzkinDecomposition:
 
     ``red_positions`` lists the 1-based slots of the n-k red zeros and
     ``core`` is the Motzkin word left by the other letters (green zeros
-    become flats).  There are binom(n, k) * M_k decompositions whose
-    core has length k.
+    become flats).  ``n``, the number of slots they fill, is
+    len(red_positions) + len(core).  There are binom(n, k) * M_k
+    decompositions whose core has length k.
     """
 
     n: int
     red_positions: tuple[int, ...]
     core: MotzkinWord
 
-    def __init__(self, n: int, red_positions: Iterable[int], core: MotzkinWord) -> None:
+    def __init__(self, red_positions: Iterable[int], core: MotzkinWord) -> None:
         red_positions = tuple(red_positions)
-        if len(red_positions) + len(core) != n:
-            raise InvalidDecomposition("red slots and core letters must fill the word")
+        if not isinstance(core, MotzkinWord):
+            raise InvalidDecomposition(f"the core must be a MotzkinWord, not a {type(core).__name__}")
+        n = len(red_positions) + len(core)
         _check_slots(red_positions, n, "red positions")
         self.__dict__.update(n=n, red_positions=red_positions, core=core)
 
@@ -203,9 +223,10 @@ def touchard_split(word: GWord) -> TouchardDecomposition:
     The core is a Dyck word: dropping zeros keeps the sequence of prefix
     sums at the remaining letters.
     """
+    if not isinstance(word, GWord):
+        raise _wrong_input(GWord, word)
     text = word.text
     return TouchardDecomposition(
-        len(text),
         tuple([i for i, ch in enumerate(text, start=1) if ch in "UD"]),
         DyckWord._trusted(text.translate(_ZEROS_DELETED)),
         tuple(map("R".__eq__, text.translate(_STEPS_DELETED))),
@@ -218,6 +239,8 @@ def touchard_merge(decomposition: TouchardDecomposition) -> GWord:
     Always yields a valid word: zeros do not move prefix sums, so the
     assembled sums are the core's sums stretched out.
     """
+    if not isinstance(decomposition, TouchardDecomposition):
+        raise _wrong_input(TouchardDecomposition, decomposition, InvalidDecomposition)
     steps = iter(decomposition.core.text)
     zeros = iter([_ZERO_OF_COLOR[red] for red in decomposition.colors])
     slots = set(decomposition.positions)
@@ -239,9 +262,10 @@ def motzkin_split(word: GWord) -> MotzkinDecomposition:
     Deleting red zeros keeps the prefix sums at the other letters, so
     the core is a Motzkin word.
     """
+    if not isinstance(word, GWord):
+        raise _wrong_input(GWord, word)
     text = word.text
     return MotzkinDecomposition(
-        len(text),
         tuple([i for i, ch in enumerate(text, start=1) if ch == "R"]),
         MotzkinWord._trusted(text.translate(_G_TO_MOTZKIN)),
     )
@@ -253,6 +277,8 @@ def motzkin_merge(decomposition: MotzkinDecomposition) -> GWord:
     Red zeros leave prefix sums unchanged, so the merge of any valid
     decomposition is a valid G-word.
     """
+    if not isinstance(decomposition, MotzkinDecomposition):
+        raise _wrong_input(MotzkinDecomposition, decomposition, InvalidDecomposition)
     core = iter(decomposition.core.text.translate(_MOTZKIN_TO_G))
     reds = set(decomposition.red_positions)
     return GWord._trusted(
@@ -260,8 +286,8 @@ def motzkin_merge(decomposition: MotzkinDecomposition) -> GWord:
     )
 
 
-_TOUCHARD_LINE = re.compile(r"positions=\[([0-9,]*)\];core=(\w*);colors=([01]*)")
-_MOTZKIN_LINE = re.compile(r"red=\[([0-9,]*)\];core=(\w*)")
+_TOUCHARD_LINE = re.compile(r"positions=\[((?:[0-9]+(?:,[0-9]+)*)?)\];core=(\w*);colors=([01]*)")
+_MOTZKIN_LINE = re.compile(r"red=\[((?:[0-9]+(?:,[0-9]+)*)?)\];core=(\w*)")
 
 
 def _parse_positions(text: str, other_slots: int) -> tuple[int, ...]:
@@ -271,7 +297,7 @@ def _parse_positions(text: str, other_slots: int) -> tuple[int, ...]:
     after its leading zeros reads as n + 1, failing the same range check without a conversion
     whose time grows with the square of its length.
     """
-    fields = [p.lstrip("0") or "0" for p in text.split(",") if p]
+    fields = [p.lstrip("0") or "0" for p in text.split(",")] if text else []
     n = len(fields) + other_slots
     width = len(str(n))
     return tuple([int(p) if len(p) <= width else n + 1 for p in fields])
@@ -291,7 +317,7 @@ def parse_touchard_decomposition(line: str) -> TouchardDecomposition:
     colors = tuple(bit == "1" for bit in match.group(3))
     positions = _parse_positions(match.group(1), len(colors))
     core = validate_dyck(match.group(2))
-    return TouchardDecomposition(len(positions) + len(colors), positions, core, colors)
+    return TouchardDecomposition(positions, core, colors)
 
 
 def format_motzkin_decomposition(decomposition: MotzkinDecomposition) -> str:
@@ -306,4 +332,4 @@ def parse_motzkin_decomposition(line: str) -> MotzkinDecomposition:
         raise InvalidDecomposition(f"cannot parse decomposition line {line!r}")
     red_positions = _parse_positions(match.group(1), len(match.group(2)))
     core = validate_motzkin(match.group(2))
-    return MotzkinDecomposition(len(red_positions) + len(core), red_positions, core)
+    return MotzkinDecomposition(red_positions, core)

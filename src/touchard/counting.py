@@ -12,7 +12,7 @@ Everything here is exact integer arithmetic; no tolerances apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -56,27 +56,25 @@ def motzkin_count(k: int) -> int:
 class IdentityReport:
     """One evaluation of an identity at index n.
 
-    ``lhs`` is C_{n+1}, ``per_k_terms`` the summands of the right-hand
-    side, ``rhs`` their total, and ``holds`` whether the two sides agree.
+    ``lhs`` is C_{n+1} and ``per_k_terms`` the summands of the right-hand
+    side; ``rhs`` (their total) and ``holds`` (lhs == rhs) are computed.
     """
 
     n: int
     lhs: int
-    rhs: int
+    rhs: int = field(init=False)
     per_k_terms: tuple[int, ...]
-    holds: bool
+    holds: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        rhs = sum(self.per_k_terms)
+        self.__dict__.update(rhs=rhs, holds=self.lhs == rhs)  # past the frozen __setattr__
 
     def format_line(self) -> str:
         """Machine-readable line, e.g. ``n=3 lhs=14 rhs=14 holds=true terms=8,6``."""
         terms = ",".join(str(t) for t in self.per_k_terms)
         flag = "true" if self.holds else "false"
         return f"n={self.n} lhs={self.lhs} rhs={self.rhs} holds={flag} terms={terms}"
-
-
-def _report(n: int, terms: tuple[int, ...]) -> IdentityReport:
-    lhs = catalan(n + 1)
-    rhs = sum(terms)
-    return IdentityReport(n, lhs, rhs, terms, lhs == rhs)
 
 
 def touchard_rhs(n: int) -> IdentityReport:
@@ -86,7 +84,7 @@ def touchard_rhs(n: int) -> IdentityReport:
     terms = tuple(
         binomial(n, 2 * k) * 2 ** (n - 2 * k) * catalan(k) for k in range(n // 2 + 1)
     )
-    return _report(n, terms)
+    return IdentityReport(n, catalan(n + 1), terms)
 
 
 def motzkin_rhs(n: int) -> IdentityReport:
@@ -94,4 +92,4 @@ def motzkin_rhs(n: int) -> IdentityReport:
     if n < 0:
         raise ValueError("n must be non-negative")
     terms = tuple(binomial(n, k) * m_k for k, m_k in enumerate(_motzkin_numbers(n)))
-    return _report(n, terms)
+    return IdentityReport(n, catalan(n + 1), terms)

@@ -10,7 +10,7 @@ Both renderers are deterministic byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -40,13 +40,33 @@ _STEP_BY_SYMBOL = {
     "R": Step(0, RED),
     "H": Step(0, NEUTRAL),
 }
+_STEPS = frozenset(Step(dy, color) for dy in (-1, 0, 1) for color in (NEUTRAL, GREEN, RED))
 
 
 @dataclass(frozen=True)
 class PathDrawing:
-    """A path as drawable steps, starting at the origin and ending on the axis."""
+    """A path as drawable steps, starting at the origin and ending on the axis.
+
+    Raises ValueError unless each step rises, falls or stays level by one
+    unit in a known color, and the path never dips below the axis and
+    ends on it, as every drawing of a word does.  ``_levels``, the height
+    before each step followed by the final height, is the one height walk
+    behind that check, ``height`` and both renderers.
+    """
 
     steps: tuple[Step, ...]
+    _levels: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not _STEPS.issuperset(self.steps):
+            bad = next(step for step in self.steps if step not in _STEPS)
+            raise ValueError(f"{bad!r} is not a unit step in {NEUTRAL}, {GREEN} or {RED}")
+        levels = tuple(accumulate((step.dy for step in self.steps), initial=0))
+        if min(levels) < 0:
+            raise ValueError(f"the path falls below the axis at step {levels.index(-1)}")
+        if levels[-1] != 0:
+            raise ValueError(f"the path ends at height {levels[-1]}, not on the axis")
+        object.__setattr__(self, "_levels", levels)
 
     @property
     def width(self) -> int:
@@ -55,12 +75,7 @@ class PathDrawing:
     @property
     def height(self) -> int:
         """Maximum height the path reaches."""
-        return max(_levels(self.steps))
-
-
-def _levels(steps: tuple[Step, ...]) -> list[int]:
-    """The height before each step, followed by the final height."""
-    return list(accumulate((step.dy for step in steps), initial=0))
+        return max(self._levels)
 
 
 def to_drawing(word: Word) -> PathDrawing:
@@ -76,7 +91,7 @@ def render_ascii(drawing: PathDrawing) -> str:
     arch is the one-line ``/\\``.  Rows are padded with spaces to the word's length;
     the grid is at least one row tall.
     """
-    levels = _levels(drawing.steps)
+    levels = drawing._levels
     rows = list(map(min, levels, levels[1:]))
     grid = [[" "] * drawing.width for _ in range(max(rows, default=0) + 1)]
     for column, (row, step) in enumerate(zip(rows, drawing.steps)):
@@ -99,7 +114,7 @@ def render_svg(drawing: PathDrawing, unit: int = 20) -> str:
     if unit <= 0:
         raise ValueError("unit must be positive")
     margin = unit
-    levels = _levels(drawing.steps)
+    levels = drawing._levels
     top = max(levels)
     width = drawing.width * unit + 2 * margin
     height = top * unit + 2 * margin

@@ -92,15 +92,20 @@ def prefix_sums(letters: Iterable[Letter]) -> list[int]:
 def _text(letters: str | Iterable[Letter]) -> str:
     """The text of a word given as text or as ``Letter`` members.
 
-    Text may hold only the five symbols; BadAlphabet names the first
-    other character.
+    Text may hold only the five symbols, and an iterable only ``Letter``
+    members; BadAlphabet names the first other character or item.
     """
     if isinstance(letters, str):
         unknown = letters.translate(_UNKNOWN)
         if unknown:
             raise BadAlphabet(f"unknown letter {unknown[0]!r}")
         return letters
-    return "".join([letter.symbol for letter in letters])
+    symbols = []
+    for letter in letters:
+        if not isinstance(letter, Letter):
+            raise BadAlphabet(f"{letter!r} is not a Letter")
+        symbols.append(letter.symbol)
+    return "".join(symbols)
 
 
 class Word:

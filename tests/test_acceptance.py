@@ -202,7 +202,7 @@ def _touchard_merge_flipping_a_color(decomposition):
     if colors:
         colors = (not colors[0],) + colors[1:]
     return touchard_merge(
-        TouchardDecomposition(decomposition.n, decomposition.positions, decomposition.core, colors)
+        TouchardDecomposition(decomposition.positions, decomposition.core, colors)
     )
 
 
@@ -210,7 +210,7 @@ def _motzkin_merge_shifting_a_red(decomposition):
     reds = decomposition.red_positions
     if reds:  # the first red slot moves one place right, cyclically
         reds = (reds[0] % decomposition.n + 1,) + reds[1:]
-    return motzkin_merge(MotzkinDecomposition(decomposition.n, reds, decomposition.core))
+    return motzkin_merge(MotzkinDecomposition(reds, decomposition.core))
 
 
 PLANTED_FAULTS = (

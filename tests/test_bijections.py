@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from touchard import (
     DyckWord,
+    GWord,
     InvalidDecomposition,
     Letter,
     MotzkinDecomposition,
     MotzkinWord,
+    RestrictedGWord,
     TouchardDecomposition,
+    WordError,
     catalan_to_g,
     drop_restriction,
     enumerate_dyck,
@@ -181,14 +184,14 @@ def all_touchard_decompositions(n):
         for positions in itertools.combinations(range(1, n + 1), 2 * k):
             for core in enumerate_dyck(k):
                 for colors in itertools.product((False, True), repeat=n - 2 * k):
-                    yield TouchardDecomposition(n, positions, core, colors)
+                    yield TouchardDecomposition(positions, core, colors)
 
 
 def all_motzkin_decompositions(n):
     for k in range(n + 1):
         for reds in itertools.combinations(range(1, n + 1), n - k):
             for core in enumerate_motzkin(k):
-                yield MotzkinDecomposition(n, reds, core)
+                yield MotzkinDecomposition(reds, core)
 
 
 def test_merge_is_a_bijection_from_decompositions():
@@ -236,20 +239,55 @@ def test_split_census_at_n10_matches_identity_terms():
 def test_invalid_decompositions():
     core = dyck("UD")
     with pytest.raises(InvalidDecomposition):
-        TouchardDecomposition(3, (1,), core, (True,))  # one slot for two letters
+        TouchardDecomposition((1,), core, (True,))  # one slot for two letters
     with pytest.raises(InvalidDecomposition):
-        TouchardDecomposition(3, (1, 3), core, ())  # missing color
+        TouchardDecomposition((1, 3), core, ())  # missing color: position 3 lies beyond the word
     with pytest.raises(InvalidDecomposition):
-        TouchardDecomposition(3, (3, 1), core, (False,))  # not increasing
+        TouchardDecomposition((3, 1), core, (False,))  # not increasing
     with pytest.raises(InvalidDecomposition):
-        TouchardDecomposition(3, (1, 4), core, (False,))  # out of range
+        TouchardDecomposition((1, 4), core, (False,))  # out of range
+    with pytest.raises(InvalidDecomposition, match="core must be a DyckWord"):
+        TouchardDecomposition([1, 2], validate_g("UD"), [])  # a G-word core
     motzkin_core = MotzkinWord(())
     with pytest.raises(InvalidDecomposition):
-        MotzkinDecomposition(3, (1, 2), motzkin_core)  # slots do not fill the word
+        MotzkinDecomposition((2, 2), motzkin_core)  # duplicate position
     with pytest.raises(InvalidDecomposition):
-        MotzkinDecomposition(2, (2, 2), motzkin_core)  # duplicate position
-    with pytest.raises(InvalidDecomposition):
-        MotzkinDecomposition(2, (0, 1), motzkin_core)  # out of range
+        MotzkinDecomposition((0, 1), motzkin_core)  # out of range
+    with pytest.raises(InvalidDecomposition, match="core must be a MotzkinWord"):
+        MotzkinDecomposition((), validate_g_restricted("URD"))  # a restricted-word core
+
+
+def test_maps_reject_words_of_other_families():
+    # Each map takes the word class listed with it, subclasses included, and
+    # raises WordError on a word of any other family.
+    words = (validate_dyck("UD"), validate_g(""), validate_g("R"), validate_g_restricted("URD"),
+             validate_motzkin("UHD"))
+    for fn, takes in (
+        (pair_encode, DyckWord),
+        (catalan_to_g, DyckWord),
+        (pair_decode, RestrictedGWord),
+        (drop_restriction, RestrictedGWord),
+        (raise_restriction, GWord),
+        (g_to_catalan, GWord),
+        (touchard_split, GWord),
+        (motzkin_split, GWord),
+    ):
+        for word in words:
+            if isinstance(word, takes):
+                fn(word)
+            else:
+                with pytest.raises(WordError, match=f"expected a {takes.__name__}"):
+                    fn(word)
+    # The merges take only their own decomposition type.
+    word = validate_g("URD")
+    for merge, own, other in (
+        (touchard_merge, touchard_split(word), motzkin_split(word)),
+        (motzkin_merge, motzkin_split(word), touchard_split(word)),
+    ):
+        assert merge(own) == word
+        for wrong in (other, word):
+            with pytest.raises(InvalidDecomposition, match="expected a"):
+                merge(wrong)
 
 
 def test_decomposition_line_formats():
@@ -271,6 +309,14 @@ def test_decomposition_parse_errors():
     for line in ("", "positions=[1];core=UD", "positions=[a];core=;colors=", "red=1;core="):
         with pytest.raises(InvalidDecomposition):
             parse_touchard_decomposition(line)
+    # Empty position fields, which the formats never write, do not parse.
+    for line in ("positions=[1,,3];core=UD;colors=0", "positions=[,1,3,];core=UD;colors=0",
+                 "positions=[,];core=;colors=00"):
+        with pytest.raises(InvalidDecomposition, match="cannot parse decomposition line"):
+            parse_touchard_decomposition(line)
+    for line in ("red=[,];core=", "red=[1,];core=", "red=[,1];core="):
+        with pytest.raises(InvalidDecomposition, match="cannot parse decomposition line"):
+            parse_motzkin_decomposition(line)
     # Positions are ASCII digits only: Arabic-Indic and fullwidth digits do not parse.
     with pytest.raises(InvalidDecomposition, match="cannot parse decomposition line"):
         parse_touchard_decomposition("positions=[\u0661,\u0662];core=UD;colors=")
@@ -289,7 +335,7 @@ def test_position_fields_parse_as_their_values(fields, flats):
     core = MotzkinWord("H" * flats)
     line = f"red=[{','.join(fields)}];core={core}"
     try:
-        expected = MotzkinDecomposition(len(fields) + flats, map(int, fields), core)
+        expected = MotzkinDecomposition(map(int, fields), core)
     except InvalidDecomposition as exc:
         with pytest.raises(InvalidDecomposition) as raised:
             parse_motzkin_decomposition(line)

@@ -134,7 +134,7 @@ def test_identities_hold():
 def test_report_line_format():
     assert touchard_rhs(3).format_line() == "n=3 lhs=14 rhs=14 holds=true terms=8,6"
     assert touchard_rhs(0).format_line() == "n=0 lhs=1 rhs=1 holds=true terms=1"
-    broken = IdentityReport(1, 2, 3, (3,), False)
+    broken = IdentityReport(1, 2, (3,))
     assert broken.format_line() == "n=1 lhs=2 rhs=3 holds=false terms=3"
 
 

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from touchard import (
+    PathDrawing,
     catalan_to_g,
     enumerate_g,
     enumerate_g_restricted,
@@ -43,6 +44,21 @@ def test_to_drawing_examples():
     assert drawing("H").steps == (Step(0, NEUTRAL),)
     assert drawing("UUDD").height == 2
     assert drawing("UUDD").width == 4
+
+
+def test_drawings_must_be_paths_of_unit_steps_on_or_above_the_axis():
+    up, down = Step(1, NEUTRAL), Step(-1, NEUTRAL)
+    for steps, message in (
+        ((down, up, up), "below the axis at step 1"),
+        ((up, down, down, up), "below the axis at step 3"),
+        ((up,), "ends at height 1"),
+        ((Step(2, NEUTRAL), Step(-2, NEUTRAL)), "not a unit step"),
+        ((Step(0, "blue"),), "not a unit step"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            PathDrawing(steps)
+    assert PathDrawing((up, Step(0, RED), down)) == drawing("URD")
+    assert PathDrawing(()).width == 0
 
 
 def test_ascii_single_line_words():

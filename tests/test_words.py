@@ -87,6 +87,10 @@ def test_validate_dyck_rejections():
         validate_dyck([U, G, D])
     with pytest.raises(BadAlphabet):
         validate_dyck([U, H, D])
+    # Items of an iterable must be Letter members: their symbols as strings are not.
+    for letters in (list("UD"), [U, "D"], [U, None]):
+        with pytest.raises(BadAlphabet, match="is not a Letter"):
+            DyckWord(letters)
 
 
 def test_validate_g_and_restricted():
