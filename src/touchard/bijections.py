@@ -150,13 +150,21 @@ def g_to_catalan(word: GWord) -> DyckWord:
     return pair_decode(raise_restriction(word))
 
 
-def _check_slots(positions: tuple[int, ...], n: int, name: str) -> None:
-    """Raise InvalidDecomposition unless ``positions`` increase strictly within 1..n.
+# The one type a position may have (``bool`` is an int subclass, not a position),
+# tested with ``issuperset(map(type, ...))`` so the check stays in C.
+_INT_ONLY = frozenset((int,))
 
-    An out-of-range position is reported ahead of a misordered one.
+
+def _check_slots(positions: tuple[int, ...], n: int, name: str) -> None:
+    """Raise InvalidDecomposition unless ``positions`` are ints increasing strictly within 1..n.
+
+    A position of another type (``bool`` included) is reported first, then an
+    out-of-range position, then a misordered one.
     """
     if not positions:
         return
+    if not _INT_ONLY.issuperset(map(type, positions)):
+        raise InvalidDecomposition(f"{name} must be ints")
     if positions[0] >= 1 and positions[-1] <= n and not any(map(ge, positions, positions[1:])):
         return
     if min(positions) < 1 or max(positions) > n:

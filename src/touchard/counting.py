@@ -7,7 +7,14 @@ red zeros:
     C_{n+1} = sum_{k=0}^{n/2} binom(n, 2k) * 2^(n-2k) * C_k
     C_{n+1} = sum_{k=0}^{n}   binom(n, k) * M_k
 
-Everything here is exact integer arithmetic; no tolerances apply.
+The summands come from ratio recurrences, each from the one or two
+before it by a product of small integers and one exact division:
+
+    t_0 = 2^n,  t_{k+1} = t_k (n-2k)(n-2k-1) / (4(k+1)(k+2))
+    s_0 = 1, s_{-1} = 0,  k(k+2) s_k = (2k+1)(n-k+1) s_{k-1} + 3(n-k+1)(n-k+2) s_{k-2}
+
+Each division is exact because its quotient is the next summand, an
+integer.  Everything here is exact integer arithmetic; no tolerances apply.
 """
 
 from __future__ import annotations
@@ -57,7 +64,8 @@ class IdentityReport:
     """One evaluation of an identity at index n.
 
     ``lhs`` is C_{n+1} and ``per_k_terms`` the summands of the right-hand
-    side; ``rhs`` (their total) and ``holds`` (lhs == rhs) are computed.
+    side, stored as a tuple whatever iterable holds them; ``rhs`` (their
+    total) and ``holds`` (lhs == rhs) are computed.
     """
 
     n: int
@@ -67,8 +75,10 @@ class IdentityReport:
     holds: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        rhs = sum(self.per_k_terms)
-        self.__dict__.update(rhs=rhs, holds=self.lhs == rhs)  # past the frozen __setattr__
+        terms = tuple(self.per_k_terms)
+        rhs = sum(terms)
+        # One write past the frozen __setattr__.
+        self.__dict__.update(per_k_terms=terms, rhs=rhs, holds=self.lhs == rhs)
 
     def format_line(self) -> str:
         """Machine-readable line, e.g. ``n=3 lhs=14 rhs=14 holds=true terms=8,6``."""
@@ -78,18 +88,41 @@ class IdentityReport:
 
 
 def touchard_rhs(n: int) -> IdentityReport:
-    """Evaluate C_{n+1} against sum_k binom(n, 2k) 2^(n-2k) C_k."""
+    """Evaluate C_{n+1} against sum_k binom(n, 2k) 2^(n-2k) C_k.
+
+    The summand t_k = binom(n, 2k) 2^(n-2k) C_k starts at t_0 = 2^n, and
+    t_{k+1} = t_k (n-2k)(n-2k-1) / (4(k+1)(k+2)): the ratio of the
+    binomials is (n-2k)(n-2k-1) / ((2k+1)(2k+2)), that of the Catalan
+    numbers 2(2k+1) / (k+2), and the power loses a factor 4.  The floor
+    division is exact because its quotient t_{k+1} is an integer.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    terms = tuple(
-        binomial(n, 2 * k) * 2 ** (n - 2 * k) * catalan(k) for k in range(n // 2 + 1)
-    )
+    term = 1 << n
+    terms = [term]
+    for k in range(n // 2):
+        term = term * ((n - 2 * k) * (n - 2 * k - 1)) // (4 * (k + 1) * (k + 2))
+        terms.append(term)
     return IdentityReport(n, catalan(n + 1), terms)
 
 
 def motzkin_rhs(n: int) -> IdentityReport:
-    """Evaluate C_{n+1} against sum_k binom(n, k) M_k."""
+    """Evaluate C_{n+1} against sum_k binom(n, k) M_k.
+
+    The summand s_k = binom(n, k) M_k starts at s_0 = 1 with s_{-1} = 0, and
+    k(k+2) s_k = (2k+1)(n-k+1) s_{k-1} + 3(n-k+1)(n-k+2) s_{k-2}: multiply
+    the Motzkin recurrence (k+2) M_k = (2k+1) M_{k-1} + 3(k-1) M_{k-2} by
+    k binom(n, k) and write binom(n, k) k = binom(n, k-1)(n-k+1) and
+    binom(n, k) k(k-1) = binom(n, k-2)(n-k+1)(n-k+2).  The floor division
+    is exact because its quotient s_k is an integer.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    terms = tuple(binomial(n, k) * m_k for k, m_k in enumerate(_motzkin_numbers(n)))
+    before, term = 0, 1
+    terms = [term]
+    for k in range(1, n + 1):
+        before, term = term, (
+            (2 * k + 1) * (n - k + 1) * term + 3 * (n - k + 1) * (n - k + 2) * before
+        ) // (k * (k + 2))
+        terms.append(term)
     return IdentityReport(n, catalan(n + 1), terms)

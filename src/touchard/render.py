@@ -47,26 +47,28 @@ _STEPS = frozenset(Step(dy, color) for dy in (-1, 0, 1) for color in (NEUTRAL, G
 class PathDrawing:
     """A path as drawable steps, starting at the origin and ending on the axis.
 
-    Raises ValueError unless each step rises, falls or stays level by one
-    unit in a known color, and the path never dips below the axis and
-    ends on it, as every drawing of a word does.  ``_levels``, the height
-    before each step followed by the final height, is the one height walk
-    behind that check, ``height`` and both renderers.
+    ``steps`` is stored as a tuple whatever iterable holds them.  Raises
+    ValueError unless each step is a ``Step`` that rises, falls or stays
+    level by one unit in a known color, and the path never dips below the
+    axis and ends on it, as every drawing of a word does.  ``_levels``, the
+    height before each step followed by the final height, is the one
+    height walk behind that check, ``height`` and both renderers.
     """
 
     steps: tuple[Step, ...]
     _levels: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not _STEPS.issuperset(self.steps):
-            bad = next(step for step in self.steps if step not in _STEPS)
+        steps = tuple(self.steps)
+        if not (set(map(type, steps)) <= {Step} and _STEPS.issuperset(steps)):
+            bad = next(step for step in steps if type(step) is not Step or step not in _STEPS)
             raise ValueError(f"{bad!r} is not a unit step in {NEUTRAL}, {GREEN} or {RED}")
-        levels = tuple(accumulate((step.dy for step in self.steps), initial=0))
+        levels = tuple(accumulate((step.dy for step in steps), initial=0))
         if min(levels) < 0:
             raise ValueError(f"the path falls below the axis at step {levels.index(-1)}")
         if levels[-1] != 0:
             raise ValueError(f"the path ends at height {levels[-1]}, not on the axis")
-        object.__setattr__(self, "_levels", levels)
+        self.__dict__.update(steps=steps, _levels=levels)  # past the frozen __setattr__
 
     @property
     def width(self) -> int:
@@ -106,13 +108,14 @@ _STROKE_BY_COLOR = {NEUTRAL: NEUTRAL_HEX, GREEN: GREEN_HEX, RED: RED_HEX}
 def render_svg(drawing: PathDrawing, unit: int = 20) -> str:
     """Standalone SVG with one line element per step.
 
-    ``unit`` is the pixel width of a step.  The y-axis is flipped so
-    height increases upward; all coordinates are integers, keeping the
-    output byte-stable.  The x-axis is drawn as a dashed gray line, so
-    a red step resting on it would be visible at a glance.
+    ``unit``, the pixel width of a step, must be a positive int (ValueError
+    otherwise).  The y-axis is flipped so height increases upward; all
+    coordinates are integers, keeping the output byte-stable.  The x-axis
+    is drawn as a dashed gray line, so a red step resting on it would be
+    visible at a glance.
     """
-    if unit <= 0:
-        raise ValueError("unit must be positive")
+    if type(unit) is not int or unit <= 0:
+        raise ValueError(f"unit must be a positive int, not {unit!r}")
     margin = unit
     levels = drawing._levels
     top = max(levels)

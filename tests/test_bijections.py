@@ -248,6 +248,10 @@ def test_invalid_decompositions():
         TouchardDecomposition((1, 4), core, (False,))  # out of range
     with pytest.raises(InvalidDecomposition, match="core must be a DyckWord"):
         TouchardDecomposition([1, 2], validate_g("UD"), [])  # a G-word core
+    with pytest.raises(InvalidDecomposition, match="positions must be ints"):
+        TouchardDecomposition(("1", "2"), core, ())  # strings
+    with pytest.raises(InvalidDecomposition, match="positions must be ints"):
+        TouchardDecomposition((True, 2), core, ())  # a bool
     motzkin_core = MotzkinWord(())
     with pytest.raises(InvalidDecomposition):
         MotzkinDecomposition((2, 2), motzkin_core)  # duplicate position
@@ -255,6 +259,8 @@ def test_invalid_decompositions():
         MotzkinDecomposition((0, 1), motzkin_core)  # out of range
     with pytest.raises(InvalidDecomposition, match="core must be a MotzkinWord"):
         MotzkinDecomposition((), validate_g_restricted("URD"))  # a restricted-word core
+    with pytest.raises(InvalidDecomposition, match="red positions must be ints"):
+        MotzkinDecomposition((True,), validate_motzkin(""))  # a bool
 
 
 def test_maps_reject_words_of_other_families():

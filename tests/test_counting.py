@@ -1,6 +1,7 @@
 """Catalan/Motzkin/binomial numbers and the two identity evaluators."""
 
 from concurrent.futures import ThreadPoolExecutor
+from math import comb
 
 import pytest
 
@@ -129,6 +130,34 @@ def test_identities_hold():
             assert report.holds
             assert report.lhs == catalan(n + 1)
             assert report.rhs == sum(report.per_k_terms)
+
+
+def reference_touchard_terms(n):
+    """The summands by their closed form, each from scratch."""
+    return tuple(comb(n, 2 * k) * 2 ** (n - 2 * k) * catalan(k) for k in range(n // 2 + 1))
+
+
+def reference_motzkin_terms(n, motzkin):
+    """The summands by their closed form, given M_0 .. M_n in ``motzkin``."""
+    return tuple(comb(n, k) * motzkin[k] for k in range(n + 1))
+
+
+def test_recurrence_terms_equal_closed_forms():
+    # The ratio recurrences against the closed forms they replace, summand by
+    # summand: exhaustively to n = 500, then at a few large n.
+    motzkin = [motzkin_count(k) for k in range(2001)]
+    for n in [*range(501), 1000, 2000]:
+        assert touchard_rhs(n).per_k_terms == reference_touchard_terms(n), n
+        assert motzkin_rhs(n).per_k_terms == reference_motzkin_terms(n, motzkin), n
+
+
+def test_report_stores_its_terms_as_a_tuple():
+    report = IdentityReport(1, 2, [2])
+    assert report.per_k_terms == (2,)
+    assert repr(report) == "IdentityReport(n=1, lhs=2, rhs=2, per_k_terms=(2,), holds=True)"
+    assert hash(report) == hash(IdentityReport(1, 2, (2,)))
+    assert IdentityReport(3, 14, iter([8, 6])).holds
+    assert type(touchard_rhs(5).per_k_terms) is type(motzkin_rhs(5).per_k_terms) is tuple
 
 
 def test_report_line_format():

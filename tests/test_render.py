@@ -54,11 +54,16 @@ def test_drawings_must_be_paths_of_unit_steps_on_or_above_the_axis():
         ((up,), "ends at height 1"),
         ((Step(2, NEUTRAL), Step(-2, NEUTRAL)), "not a unit step"),
         ((Step(0, "blue"),), "not a unit step"),
+        (([1, NEUTRAL],), "not a unit step"),  # unhashable
+        (((1, NEUTRAL), (-1, NEUTRAL)), "not a unit step"),  # equal to Steps, but plain tuples
     ):
         with pytest.raises(ValueError, match=message):
             PathDrawing(steps)
     assert PathDrawing((up, Step(0, RED), down)) == drawing("URD")
     assert PathDrawing(()).width == 0
+    listed = PathDrawing([up, down])
+    assert listed.steps == (up, down)
+    assert hash(listed) == hash(drawing("UD"))
 
 
 def test_ascii_single_line_words():
@@ -172,6 +177,10 @@ def test_svg_rejects_bad_unit():
         render_svg(drawing("UD"), 0)
     with pytest.raises(ValueError):
         render_svg(drawing("UD"), -3)
+    # Only an int keeps every coordinate an integer.
+    for unit in (2.5, 20.0, True, "20"):
+        with pytest.raises(ValueError, match="positive int"):
+            render_svg(drawing("UD"), unit)
 
 
 # The renderers' earlier bodies, each walking the heights with its own counter: the
