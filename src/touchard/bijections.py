@@ -150,9 +150,11 @@ def g_to_catalan(word: GWord) -> DyckWord:
     return pair_decode(raise_restriction(word))
 
 
-# The one type a position may have (``bool`` is an int subclass, not a position),
-# tested with ``issuperset(map(type, ...))`` so the check stays in C.
+# The one type a position may have (``bool`` is an int subclass, not a position)
+# and the one a color may have, tested with ``issuperset(map(type, ...))`` so the
+# checks stay in C.
 _INT_ONLY = frozenset((int,))
+_BOOL_ONLY = frozenset((bool,))
 
 
 def _check_slots(positions: tuple[int, ...], n: int, name: str) -> None:
@@ -177,10 +179,10 @@ class TouchardDecomposition:
     """A G-word split by the support of its up/down letters.
 
     ``positions`` lists the 1-based slots of the 2k up/down letters,
-    ``core`` is the Dyck word they spell, and ``colors`` gives the color
-    of each remaining zero slot in position order (True = red).  ``n``,
-    the number of slots they fill, is len(positions) + len(colors).  There
-    are binom(n, 2k) * C_k * 2^(n-2k) decompositions with |positions| = 2k.
+    ``core`` is the Dyck word they spell, and ``colors`` the color of
+    each remaining zero slot in position order (a bool, True = red).
+    ``n``, the number of slots they fill, is len(positions) + len(colors).
+    There are binom(n, 2k) * C_k * 2^(n-2k) decompositions with |positions| = 2k.
     """
 
     n: int
@@ -190,9 +192,11 @@ class TouchardDecomposition:
 
     def __init__(self, positions: Iterable[int], core: DyckWord, colors: Iterable[bool]) -> None:
         positions = tuple(positions)
-        colors = tuple(map(bool, colors))
+        colors = tuple(colors)
         if not isinstance(core, DyckWord):
             raise InvalidDecomposition(f"the core must be a DyckWord, not a {type(core).__name__}")
+        if not _BOOL_ONLY.issuperset(map(type, colors)):
+            raise InvalidDecomposition("colors must be bools")
         if len(positions) != len(core):
             raise InvalidDecomposition("positions must hold one slot per core letter")
         n = len(positions) + len(colors)

@@ -41,22 +41,19 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _motzkin_numbers(n: int) -> list[int]:
-    """M_0 .. M_n by the P-recursive recurrence (m+2) M_m = (2m+1) M_{m-1} + 3(m-1) M_{m-2}.
-
-    One product pair per entry (OEIS A001006); the division is exact.
-    """
-    numbers = [1, 1]
-    for m in range(2, n + 1):
-        numbers.append(((2 * m + 1) * numbers[m - 1] + 3 * (m - 1) * numbers[m - 2]) // (m + 2))
-    return numbers[: n + 1]
-
-
 def motzkin_count(k: int) -> int:
-    """Number of Motzkin words of length k."""
+    """Number of Motzkin words of length k, M_k (OEIS A001006).
+
+    Runs (m+2) M_m = (2m+1) M_{m-1} + 3(m-1) M_{m-2} up from M_0 = M_1 = 1,
+    holding only the last two values.  The floor division is exact because
+    its quotient M_m is an integer.
+    """
     if k < 0:
         raise ValueError("k must be non-negative")
-    return _motzkin_numbers(k)[k]
+    before, number = 1, 1
+    for m in range(2, k + 1):
+        before, number = number, ((2 * m + 1) * number + 3 * (m - 1) * before) // (m + 2)
+    return number
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,13 @@ class PathDrawing:
 
     def __post_init__(self) -> None:
         steps = tuple(self.steps)
-        if not (set(map(type, steps)) <= {Step} and _STEPS.issuperset(steps)):
-            bad = next(step for step in steps if type(step) is not Step or step not in _STEPS)
+        try:
+            unit = set(map(type, steps)) <= {Step} and _STEPS.issuperset(steps)
+        except TypeError:  # a Step holding an unhashable field
+            unit = False
+        if not unit:
+            known = tuple(_STEPS)  # searched by ==, which hashes nothing
+            bad = next(step for step in steps if type(step) is not Step or step not in known)
             raise ValueError(f"{bad!r} is not a unit step in {NEUTRAL}, {GREEN} or {RED}")
         levels = tuple(accumulate((step.dy for step in steps), initial=0))
         if min(levels) < 0:

@@ -252,6 +252,9 @@ def test_invalid_decompositions():
         TouchardDecomposition(("1", "2"), core, ())  # strings
     with pytest.raises(InvalidDecomposition, match="positions must be ints"):
         TouchardDecomposition((True, 2), core, ())  # a bool
+    for colors in (["0"], [None, 2], (1,)):  # a string, None and an int
+        with pytest.raises(InvalidDecomposition, match="colors must be bools"):
+            TouchardDecomposition((1, 2), core, colors)
     motzkin_core = MotzkinWord(())
     with pytest.raises(InvalidDecomposition):
         MotzkinDecomposition((2, 2), motzkin_core)  # duplicate position

@@ -1,5 +1,6 @@
 """Catalan/Motzkin/binomial numbers and the two identity evaluators."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
@@ -72,6 +73,25 @@ def test_motzkin_matches_enumeration():
 
 def test_motzkin_against_first_return_oracle():
     assert [motzkin_count(k) for k in range(301)] == motzkin_by_first_return(300)
+
+
+def test_motzkin_at_large_k_against_the_last_summand():
+    # binom(k, k) M_k, the last summand of motzkin_rhs(k), comes from the
+    # summand recurrence rather than the Motzkin one.
+    for k in (1000, 2500):
+        assert motzkin_count(k) == motzkin_rhs(k).per_k_terms[-1], k
+
+
+def test_motzkin_count_holds_two_values():
+    # M_20000 has 9,537 digits, about 4 KB; a table of M_0..M_20000 would
+    # hold about 43 MB.
+    tracemalloc.start()
+    try:
+        motzkin_count(20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_motzkin_rejects_negative():

@@ -55,6 +55,7 @@ def test_drawings_must_be_paths_of_unit_steps_on_or_above_the_axis():
         ((Step(2, NEUTRAL), Step(-2, NEUTRAL)), "not a unit step"),
         ((Step(0, "blue"),), "not a unit step"),
         (([1, NEUTRAL],), "not a unit step"),  # unhashable
+        ((up, Step(0, []), down), "not a unit step"),  # a Step with an unhashable field
         (((1, NEUTRAL), (-1, NEUTRAL)), "not a unit step"),  # equal to Steps, but plain tuples
     ):
         with pytest.raises(ValueError, match=message):
