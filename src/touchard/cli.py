@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
@@ -65,26 +66,48 @@ class VerifyConfig:
     output_format: str = "text"
 
 
+# The most worker processes ``verify`` starts: the count its speed and memory
+# were measured at.  Each worker holds one round-trip size's families.
+MAX_JOBS = 2
+
+
+def resolve_jobs() -> int:
+    """How many processes ``verify`` uses: one per available CPU, at most ``MAX_JOBS``.
+
+    Workers are forked, so where ``os.fork`` does not exist the answer is 1.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        available = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        available = os.cpu_count() or 1
+    return min(available, MAX_JOBS)
+
+
 def _family(cls: type, words: Iterable[Word]) -> Callable[[Word], bool]:
     """A test for membership in ``words``: same class and one of their texts."""
     texts = {word.text for word in words}
     return lambda word: word.__class__ is cls and word.text in texts
 
 
-def _first_failure(words: Iterable, forward: Callable, backward: Callable, valid: Callable) -> str | None:
-    """The text of the first word not sent by ``forward`` to a ``valid`` image that ``backward`` undoes.
+def _first_failure(words: list, shard: int, jobs: int, forward: Callable, backward: Callable,
+                   valid: Callable) -> tuple[int, str] | None:
+    """The first of ``words[shard::jobs]`` not sent by ``forward`` to a ``valid`` image that ``backward`` undoes.
 
-    ``valid`` compares each image with the enumerated target family, under
-    ``python -O`` too; a map that raises ValueError fails on that word.
+    It is given as its index in ``words`` and its text.  ``valid`` compares each
+    image with the enumerated target family, under ``python -O`` too; a map that
+    raises ValueError fails on that word.
     """
-    for word in words:
+    for index in range(shard, len(words), jobs):
+        word = words[index]
         try:
             image = forward(word)
             if valid(image) and backward(image) == word:
                 continue
         except ValueError:
             pass
-        return word.text
+        return index, word.text
     return None
 
 
@@ -97,11 +120,13 @@ class Check(NamedTuple):
     counterexample: str | None = None
 
 
-def _bijection_checks(n: int) -> Iterator[Check]:
-    """The four bijection checks at size n.
+def _roundtrip_shard(n: int, shard: int, jobs: int) -> list[tuple]:
+    """The four bijection checks at size n, on every ``jobs``-th word of each side from the ``shard``-th on.
 
-    Each passes when both families have the same size (for a split map, the number of
-    decompositions: the identity's right-hand side) and every enumerated word survives its round trip.
+    Each check is (name, target size, the size of each side, the first failure
+    of each side in this shard as (index, text) or None).  The target size is
+    the size of the family the first side maps to; for a split map, the number
+    of decompositions: the identity's right-hand side.
     """
     dyck = list(enumerate_dyck(n + 1))
     restricted = list(enumerate_g_restricted(n + 1))
@@ -112,20 +137,36 @@ def _bijection_checks(n: int) -> Iterator[Check]:
     is_dyck_core = _family(DyckWord, chain.from_iterable(map(enumerate_dyck, range(n // 2 + 1))))
     is_motzkin_core = _family(MotzkinWord, chain.from_iterable(map(enumerate_motzkin, range(n + 1))))
     # name, size of the target family, then (words, forward, backward, valid) per enumerated side
-    for name, target_size, *sides in (
-        ("pair", len(restricted), (dyck, pair_encode, pair_decode, is_restricted),
-         (restricted, pair_decode, pair_encode, is_dyck)),
-        ("restriction", len(grown), (restricted, drop_restriction, raise_restriction, is_g),
-         (grown, raise_restriction, drop_restriction, is_restricted)),
-        ("touchard_split", touchard_rhs(n).rhs,
-         (grown, touchard_split, touchard_merge, lambda d: is_dyck_core(d.core))),
-        ("motzkin_split", motzkin_rhs(n).rhs,
-         (grown, motzkin_split, motzkin_merge, lambda d: is_motzkin_core(d.core))),
-    ):
-        failures = (word for side in sides if (word := _first_failure(*side)) is not None)
-        counterexample = next(failures, None)
-        ok = len(sides[0][0]) == target_size and counterexample is None
-        words = sum(len(side[0]) for side in sides)
+    return [
+        (name, target_size, [len(side[0]) for side in sides],
+         [_first_failure(words, shard, jobs, *maps) for words, *maps in sides])
+        for name, target_size, *sides in (
+            ("pair", len(restricted), (dyck, pair_encode, pair_decode, is_restricted),
+             (restricted, pair_decode, pair_encode, is_dyck)),
+            ("restriction", len(grown), (restricted, drop_restriction, raise_restriction, is_g),
+             (grown, raise_restriction, drop_restriction, is_restricted)),
+            ("touchard_split", touchard_rhs(n).rhs,
+             (grown, touchard_split, touchard_merge, lambda d: is_dyck_core(d.core))),
+            ("motzkin_split", motzkin_rhs(n).rhs,
+             (grown, motzkin_split, motzkin_merge, lambda d: is_motzkin_core(d.core))),
+        )
+    ]
+
+
+def _roundtrip_checks(n: int, shards: list[list[tuple]]) -> Iterator[Check]:
+    """The four bijection checks at size n, merged from the results of its shards.
+
+    Each passes when its first side has the target size and every enumerated
+    word survives its round trip.  The counterexample is the lowest-index
+    failure of the first side that has one: the word one shard would name.
+    """
+    for checks in zip(*shards):  # one check, as each shard saw it
+        name, target_size, sizes, _ = checks[0]
+        # per side, the failure with the lowest index in any shard
+        failures = [min(filter(None, side), default=None) for side in zip(*(failed for *_, failed in checks))]
+        counterexample = next((text for _, text in filter(None, failures)), None)
+        ok = sizes[0] == target_size and counterexample is None
+        words = sum(sizes)
         record = {"check": "roundtrip", "bijection": name, "n": n, "words": words, "ok": ok}
         if counterexample is not None:
             record["counterexample"] = counterexample
@@ -133,37 +174,114 @@ def _bijection_checks(n: int) -> Iterator[Check]:
         yield Check(ok, line, record, counterexample)
 
 
+def _census_checks(n: int) -> list[Check]:
+    """Both census checks at n: how many words of G_n split to each core size, against each identity's terms."""
+    by_updown = [0] * (n // 2 + 1)
+    by_core_len = [0] * (n + 1)
+    for u in enumerate_g(n):
+        by_updown[touchard_split(u).core.semilength] += 1
+        by_core_len[len(motzkin_split(u).core)] += 1
+    checks = []
+    for which, counts, report in (
+        ("touchard", by_updown, touchard_rhs(n)),
+        ("motzkin", by_core_len, motzkin_rhs(n)),
+    ):
+        expected = list(report.per_k_terms)
+        ok = counts == expected
+        line = "census={} n={} counts={} terms={} ok={}".format(
+            which, n, ",".join(map(str, counts)), ",".join(map(str, expected)), "true" if ok else "false"
+        )
+        checks.append(Check(ok, line, {
+            "check": "census", "identity": which, "n": n, "counts": counts, "terms": expected, "ok": ok
+        }))
+    return checks
+
+
+def _run_task(task: tuple) -> object:
+    """One task of ``run_checks``: a function of this module applied to its arguments."""
+    function, *args = task
+    return function(*args)
+
+
+@contextmanager
+def _task_results(tasks: list[tuple], jobs: int) -> Iterator[Iterator]:
+    """The results of ``tasks`` in order, from ``jobs`` worker processes or, for one job, from this one.
+
+    Worker w runs tasks w, w + jobs, w + 2·jobs, ... in order and sends each
+    result through its own pipe.  Workers are forked, so they run this
+    process's module state as it is, replaced functions included.  A task's
+    exception is raised here; a worker that dies (killed, out of memory)
+    raises ChildProcessError.  The workers are stopped when the block is
+    left, whether or not every result was read.
+    """
+    if jobs == 1:
+        yield map(_run_task, tasks)
+        return
+    import multiprocessing  # here, not at the top: it adds about 20 ms to start-up
+    import signal
+
+    def work(share: list[tuple], sender) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches this process, which stops the workers
+        for task in share:
+            try:
+                sender.send((True, _run_task(task)))
+            except BaseException as exc:
+                sender.send((False, exc))
+                return
+
+    context = multiprocessing.get_context("fork")
+    workers, receivers = [], []
+
+    def result(index: int) -> object:
+        try:
+            ok, value = receivers[index % jobs].recv()
+        except EOFError:  # the worker's end of the pipe closed without a result
+            worker = workers[index % jobs]
+            worker.join()
+            raise ChildProcessError(f"a verify worker stopped with exit status {worker.exitcode}") from None
+        if not ok:
+            raise value
+        return value
+
+    try:
+        for w in range(jobs):
+            receiver, sender = context.Pipe(duplex=False)
+            workers.append(context.Process(target=work, args=(tasks[w::jobs], sender), daemon=True))
+            receivers.append(receiver)
+            workers[w].start()
+            sender.close()  # the worker holds the only write end, so its death ends the pipe
+        yield map(result, range(len(tasks)))
+    finally:
+        for worker in workers:
+            worker.terminate()
+            worker.join()
+
+
 def run_checks(cfg: VerifyConfig) -> Iterator[Check]:
-    """Identity checks, exhaustive bijection checks, and stratified censuses, in that order."""
-    for n in range(cfg.max_identity_n + 1):
-        for which, report in (("touchard", touchard_rhs(n)), ("motzkin", motzkin_rhs(n))):
-            yield Check(report.holds, f"identity={which} {report.format_line()}", {
-                "check": "identity", "identity": which, "n": n, "lhs": report.lhs, "rhs": report.rhs,
-                "holds": report.holds, "terms": list(report.per_k_terms), "ok": report.holds,
-            })
+    """Identity checks, exhaustive bijection checks, and stratified censuses, in that order.
 
-    for n in range(cfg.max_roundtrip_len + 1):
-        # one generator per n: size n's families are freed before size n + 1's are built
-        yield from _bijection_checks(n)
-
-    for n in range(cfg.max_census_n + 1):
-        by_updown = [0] * (n // 2 + 1)
-        by_core_len = [0] * (n + 1)
-        for u in enumerate_g(n):
-            by_updown[touchard_split(u).core.semilength] += 1
-            by_core_len[len(motzkin_split(u).core)] += 1
-        for which, counts, report in (
-            ("touchard", by_updown, touchard_rhs(n)),
-            ("motzkin", by_core_len, motzkin_rhs(n)),
-        ):
-            expected = list(report.per_k_terms)
-            ok = counts == expected
-            line = "census={} n={} counts={} terms={} ok={}".format(
-                which, n, ",".join(map(str, counts)), ",".join(map(str, expected)), "true" if ok else "false"
-            )
-            yield Check(ok, line, {
-                "check": "census", "identity": which, "n": n, "counts": counts, "terms": expected, "ok": ok
-            })
+    The identities are checked here.  Each round-trip size is split into one
+    round-robin shard per worker and each census is one task; the tasks run in
+    ``resolve_jobs()`` worker processes while the identities are checked, and
+    their results are merged in order, so the checks do not depend on the
+    worker count.  Close the generator to stop the workers early.
+    """
+    jobs = resolve_jobs()
+    roundtrip_sizes = range(cfg.max_roundtrip_len + 1)
+    census_sizes = range(cfg.max_census_n + 1)
+    tasks = [(_roundtrip_shard, n, shard, jobs) for n in roundtrip_sizes for shard in range(jobs)]
+    tasks += [(_census_checks, n) for n in census_sizes]
+    with _task_results(tasks, jobs) as results:
+        for n in range(cfg.max_identity_n + 1):
+            for which, report in (("touchard", touchard_rhs(n)), ("motzkin", motzkin_rhs(n))):
+                yield Check(report.holds, f"identity={which} {report.format_line()}", {
+                    "check": "identity", "identity": which, "n": n, "lhs": report.lhs, "rhs": report.rhs,
+                    "holds": report.holds, "terms": list(report.per_k_terms), "ok": report.holds,
+                })
+        for n in roundtrip_sizes:
+            yield from _roundtrip_checks(n, [next(results) for _ in range(jobs)])
+        for _ in census_sizes:
+            yield from next(results)
 
 
 def cmd_verify(cfg: VerifyConfig, out: IO[str], err: IO[str]) -> int:
@@ -173,10 +291,11 @@ def cmd_verify(cfg: VerifyConfig, out: IO[str], err: IO[str]) -> int:
     failure, with its counterexample if it has one, on ``err``.
     """
     first_failure: Check | None = None
-    for check in run_checks(cfg):
-        out.write((json.dumps(check.record) if cfg.output_format == "ndjson" else check.line) + "\n")
-        if not check.ok and first_failure is None:
-            first_failure = check
+    with closing(run_checks(cfg)) as checks:  # an early exit stops the workers at once
+        for check in checks:
+            out.write((json.dumps(check.record) if cfg.output_format == "ndjson" else check.line) + "\n")
+            if not check.ok and first_failure is None:
+                first_failure = check
     if first_failure is None:
         return 0
     found = first_failure.counterexample

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import attrgetter
 from typing import NamedTuple
 
 from .words import Word
@@ -41,6 +42,14 @@ _STEP_BY_SYMBOL = {
     "H": Step(0, NEUTRAL),
 }
 _STEPS = frozenset(Step(dy, color) for dy in (-1, 0, 1) for color in (NEUTRAL, GREEN, RED))
+# The one type a step and each of its fields may have (``1.0`` and ``True`` equal
+# and hash like ``1``), tested with ``issuperset(map(type, ...))`` so the check
+# stays in C.
+_STEP_ONLY = frozenset((Step,))
+_INT_ONLY = frozenset((int,))
+_STR_ONLY = frozenset((str,))
+_dy = attrgetter("dy")
+_color = attrgetter("color")
 
 
 @dataclass(frozen=True)
@@ -49,7 +58,7 @@ class PathDrawing:
 
     ``steps`` is stored as a tuple whatever iterable holds them.  Raises
     ValueError unless each step is a ``Step`` that rises, falls or stays
-    level by one unit in a known color, and the path never dips below the
+    level by one unit (an ``int``) in a known color (a ``str``), and the path never dips below the
     axis and ends on it, as every drawing of a word does.  ``_levels``, the
     height before each step followed by the final height, is the one
     height walk behind that check, ``height`` and both renderers.
@@ -60,15 +69,16 @@ class PathDrawing:
 
     def __post_init__(self) -> None:
         steps = tuple(self.steps)
-        try:
-            unit = set(map(type, steps)) <= {Step} and _STEPS.issuperset(steps)
-        except TypeError:  # a Step holding an unhashable field
-            unit = False
-        if not unit:
-            known = tuple(_STEPS)  # searched by ==, which hashes nothing
-            bad = next(step for step in steps if type(step) is not Step or step not in known)
+        if not (
+            _STEP_ONLY.issuperset(map(type, steps))
+            and _INT_ONLY.issuperset(map(type, map(_dy, steps)))
+            and _STR_ONLY.issuperset(map(type, map(_color, steps)))
+            and _STEPS.issuperset(steps)  # fields of exactly int and str: each step hashes
+        ):
+            bad = next(step for step in steps if type(step) is not Step or type(step.dy) is not int
+                       or type(step.color) is not str or step not in _STEPS)
             raise ValueError(f"{bad!r} is not a unit step in {NEUTRAL}, {GREEN} or {RED}")
-        levels = tuple(accumulate((step.dy for step in steps), initial=0))
+        levels = tuple(accumulate(map(_dy, steps), initial=0))
         if min(levels) < 0:
             raise ValueError(f"the path falls below the axis at step {levels.index(-1)}")
         if levels[-1] != 0:

@@ -6,9 +6,12 @@ Every test prints a ``criterion N ...: PASS`` or ``...: FAIL`` line
 
 import functools
 import itertools
+import os
 import time
 import xml.etree.ElementTree as ET
 from collections import Counter
+
+import pytest
 
 from touchard import (
     Letter,
@@ -77,10 +80,12 @@ def test_g_cardinalities_to_11():
     assert time.perf_counter() - start < 60.0
 
 
-def catalogue(kind, max_census_n=0, max_roundtrip_len=0):
-    """The ``run_checks`` records of one kind ("roundtrip" or "census")."""
+def catalogue(kind, max_census_n=0, max_roundtrip_len=0, cpus=2):
+    """The ``run_checks`` records of one kind ("roundtrip" or "census"), with ``cpus`` CPUs (and workers)."""
     cfg = VerifyConfig(max_identity_n=0, max_census_n=max_census_n, max_roundtrip_len=max_roundtrip_len)
-    return [check for check in run_checks(cfg) if check.record["check"] == kind]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return [check for check in run_checks(cfg) if check.record["check"] == kind]
 
 
 # The families each bijection check walks, for the n of its record.
@@ -235,3 +240,12 @@ def test_mutations_are_detected(monkeypatch):
             walked = {str(word) for side in SIDES[name](check.record["n"]) for word in side}
             assert check.counterexample in walked
             assert check.record["counterexample"] == check.counterexample
+
+
+def test_planted_faults_give_the_same_records_at_any_job_count(monkeypatch):
+    for _, target, fault in PLANTED_FAULTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(f"touchard.cli.{target}", fault)
+            one, two = (catalogue("roundtrip", max_roundtrip_len=4, cpus=cpus) for cpus in (1, 2))
+        assert any(not check.ok for check in one), target
+        assert one == two, target

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -18,9 +19,18 @@ from touchard import (
     enumerate_g,
     sample_dyck,
 )
-from touchard.cli import VerifyConfig, build_parser, cmd_verify, main, run_checks
+from touchard.cli import MAX_JOBS, VerifyConfig, build_parser, cmd_verify, main, resolve_jobs, run_checks
 
 U_G_2 = "UD\nGG\nGR\nRG\nRR\n"
+
+
+def pin_cpus(monkeypatch, count):
+    """Make ``count`` CPUs available to ``verify``, so that it starts min(count, 2) workers on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+# The same, for code run in a fresh interpreter: two CPUs, so two workers.
+PIN_TWO_CPUS = "import os; os.sched_getaffinity = lambda pid: {0, 1}\n"
 
 
 def run(argv, capsys, stdin=None, monkeypatch=None):
@@ -191,7 +201,8 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
-def test_verify_small_bounds(capsys):
+def test_verify_small_bounds(capsys, monkeypatch):
+    pin_cpus(monkeypatch, 2)
     status, out, err = run(
         ["verify", "--max-identity-n", "3", "--max-census-n", "2", "--max-roundtrip-len", "2"],
         capsys,
@@ -205,7 +216,8 @@ def test_verify_small_bounds(capsys):
     assert "census=touchard n=2 counts=4,1 terms=4,1 ok=true" in lines
 
 
-def test_verify_roundtrip_len_0(capsys):
+def test_verify_roundtrip_len_0(capsys, monkeypatch):
+    pin_cpus(monkeypatch, 2)
     status, out, _ = run(
         ["verify", "--max-identity-n", "0", "--max-census-n", "0", "--max-roundtrip-len", "0"],
         capsys,
@@ -269,6 +281,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
         return GWord(tuple(swap.get(letter, letter) for letter in dropped.letters))
 
     monkeypatch.setattr("touchard.cli.drop_restriction", faulty_drop)
+    pin_cpus(monkeypatch, 2)
     argv = ["verify", "--max-identity-n", "0", "--max-census-n", "0", "--max-roundtrip-len", "3"]
     status, out, err = run(argv, capsys)
     assert status == 1
@@ -284,7 +297,8 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert all("counterexample" not in r for r in records if r["ok"])
 
 
-def test_cmd_verify_accepts_config_object():
+def test_cmd_verify_accepts_config_object(monkeypatch):
+    pin_cpus(monkeypatch, 2)
     out, err = io.StringIO(), io.StringIO()
     status = cmd_verify(VerifyConfig(2, 1, 1, "text"), out, err)
     assert status == 0
@@ -293,6 +307,108 @@ def test_cmd_verify_accepts_config_object():
     # 3 n-values x 2 identities, 2 sizes x 4 round trips, 2 n-values x 2 censuses
     assert len(lines) == 6 + 8 + 4
     assert "ok=false" not in out.getvalue()
+
+
+def test_verify_output_does_not_depend_on_the_worker_count(capsys, monkeypatch):
+    argv = ["verify", "--max-roundtrip-len", "7", "--max-census-n", "7"]
+    for fmt in ("text", "ndjson"):
+        pin_cpus(monkeypatch, 1)
+        one = run(argv + ["--format", fmt], capsys)
+        pin_cpus(monkeypatch, 2)
+        two = run(argv + ["--format", fmt], capsys)
+        assert one == two
+        assert one[0] == 0 and len(one[1].splitlines()) == 402 + 4 * 8 + 2 * 8
+
+
+G_3 = [str(word) for word in enumerate_g(3)]
+
+
+@pytest.mark.parametrize("failing", [{3}, {3, 4}])
+def test_verify_names_the_first_failing_word_whatever_its_shard(capsys, monkeypatch, failing):
+    # touchard_merge breaks only the round trips of G_3's words at the failing
+    # indices; at 2 jobs, index 3 is in shard 1 and index 4 in shard 0.
+    from touchard import touchard_merge as real_merge
+
+    def faulty_merge(decomposition):
+        merged = real_merge(decomposition)
+        broken = str(merged) in {G_3[i] for i in failing}
+        return GWord(G_3[0] if broken else str(merged))
+
+    monkeypatch.setattr("touchard.cli.touchard_merge", faulty_merge)
+    argv = ["verify", "--max-identity-n", "0", "--max-census-n", "0", "--max-roundtrip-len", "4"]
+    failing_line = "roundtrip=touchard_split n=3 words=14 ok=false"
+    assert G_3[3] == "UDR"
+    for cpus in (1, 2):
+        pin_cpus(monkeypatch, cpus)
+        status, out, err = run(argv, capsys)
+        assert (status, err) == (1, f"verify: first failing check: {failing_line} counterexample=UDR\n")
+        assert [line for line in out.splitlines() if "ok=false" in line] == [failing_line]
+
+
+def test_verify_rejects_images_of_the_wrong_class_or_length_at_2_jobs(monkeypatch):
+    from touchard import RestrictedGWord, pair_decode, pair_encode
+
+    pin_cpus(monkeypatch, 2)
+    config = VerifyConfig(max_identity_n=0, max_census_n=0, max_roundtrip_len=3)
+
+    def failed(checks):
+        return [(c.record["n"], c.counterexample) for c in checks if not c.ok]
+
+    first_dyck = [(n, "U" * (n + 1) + "D" * (n + 1)) for n in range(4)]
+    with monkeypatch.context() as patch:
+        # the right text as a GWord, which decode undoes: only its class is wrong
+        patch.setattr("touchard.cli.pair_encode", lambda word: GWord(str(pair_encode(word))))
+        patch.setattr("touchard.cli.pair_decode", lambda word: pair_decode(RestrictedGWord(str(word))))
+        assert failed(run_checks(config)) == first_dyck
+    with monkeypatch.context() as patch:
+        # a trailing green zero that decode drops again: a restricted word, one letter too long
+        padded = set()
+
+        def encode(word):
+            image = RestrictedGWord(str(pair_encode(word)) + "G")
+            padded.add(str(image))
+            return image
+
+        def decode(word):
+            text = str(word)
+            return pair_decode(RestrictedGWord(text[:-1] if text in padded else text))
+
+        patch.setattr("touchard.cli.pair_encode", encode)
+        patch.setattr("touchard.cli.pair_decode", decode)
+        assert failed(run_checks(config)) == first_dyck
+
+
+def test_verify_stops_its_workers_as_soon_as_its_output_fails(monkeypatch):
+    import multiprocessing
+
+    class ClosedAfterOneLine(io.StringIO):
+        def write(self, text):
+            if self.tell():
+                raise BrokenPipeError
+            return super().write(text)
+
+    pin_cpus(monkeypatch, 2)
+    with pytest.raises(BrokenPipeError):
+        cmd_verify(VerifyConfig(max_identity_n=0), ClosedAfterOneLine(), io.StringIO())
+    assert multiprocessing.active_children() == []
+
+
+def test_jobs_are_the_available_cpus_up_to_two(monkeypatch):
+    assert MAX_JOBS == 2
+    jobs = []
+    for cpus in (1, 2, 3, 64):
+        pin_cpus(monkeypatch, cpus)
+        jobs.append(resolve_jobs())
+    assert jobs == [1, 2, 2, 2]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    jobs = []
+    for cpus in (None, 1, 5):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        jobs.append(resolve_jobs())
+    assert jobs == [1, 1, 2]
+    pin_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert resolve_jobs() == 1
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -307,7 +423,12 @@ def python(*args, optimize=False, **kwargs):
 
 def run_python(*args, optimize=False):
     proc = python(*args, optimize=optimize, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    out, err = proc.communicate(timeout=120)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:  # a hang fails the test and leaves no process behind
+        proc.kill()
+        proc.wait()
+        raise
     return proc.returncode, out, err
 
 
@@ -399,8 +520,95 @@ def test_verify_checks_map_outputs_under_optimize():
         sys.exit(cli.main(["verify", "--max-identity-n", "0", "--max-census-n", "0",
                            "--max-roundtrip-len", "4"]))
     """)
-    status, out, err = run_python("-c", code, optimize=True)
+    status, out, err = run_python("-c", PIN_TWO_CPUS + code, optimize=True)
     assert status == 1
     assert "roundtrip=restriction n=4 words=84 ok=false" in out.splitlines()
     assert "roundtrip=pair n=4 words=84 ok=true" in out.splitlines()
     assert err.startswith("verify: first failing check: roundtrip=restriction")
+
+
+def test_verify_closed_output_pipe_stops_every_worker():
+    # touchard verify | head -1 on two CPUs, in a session of its own so that
+    # any worker left behind would still be found in its process group
+    code = PIN_TWO_CPUS + "import sys, touchard.cli; sys.exit(touchard.cli.main(['verify']))"
+    proc = python("-c", code, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        status = proc.wait(timeout=120)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (status, first, err) == (1, b"identity=touchard n=0 lhs=1 rhs=1 holds=true terms=1\n", b"")
+
+
+def test_verify_on_one_cpu_starts_no_process():
+    code = textwrap.dedent("""
+        import os, sys
+        import touchard.cli as cli
+
+        def no_fork():
+            raise RuntimeError("started a process")
+
+        os.sched_getaffinity = lambda pid: {0}
+        os.fork = no_fork
+        status = cli.main(["verify", "--max-identity-n", "0", "--max-census-n", "4",
+                           "--max-roundtrip-len", "4"])
+        sys.exit(status if "multiprocessing" not in sys.modules else 3)
+    """)
+    status, out, err = run_python("-c", code)
+    assert (status, err) == (0, "")
+    assert len(out.splitlines()) == 2 + 4 * 5 + 2 * 5
+
+
+def test_unexpected_exception_in_a_worker_is_the_same_error_line():
+    code = textwrap.dedent("""
+        import os, sys
+        import touchard.cli as cli
+
+        def broken(word):
+            if len(word) == 3:
+                raise RuntimeError("planted\\nfault")
+            return word
+
+        os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+        cli.drop_restriction = broken
+        sys.exit(cli.main(["verify", "--max-identity-n", "1", "--max-census-n", "0",
+                           "--max-roundtrip-len", "4"]))
+    """)
+    one, two = (run_python("-c", code, cpus) for cpus in ("1", "2"))
+    assert one == two
+    status, out, err = two
+    assert (status, err) == (1, "error: unexpected RuntimeError: planted fault\n")
+    assert out.splitlines()[-1] == "roundtrip=motzkin_split n=1 words=2 ok=true"
+
+
+def test_verify_fails_when_a_worker_dies():
+    # The worker that takes census 5 (odd tasks: the second of two) kills
+    # itself there, as an out-of-memory kill would; the first one finishes.
+    code = PIN_TWO_CPUS + textwrap.dedent("""
+        import multiprocessing, signal, sys
+        import touchard.cli as cli
+        from touchard import touchard_split
+
+        def dying(word):
+            if len(word) == 5:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return touchard_split(word)
+
+        cli.touchard_split = dying
+        status = cli.main(["verify", "--max-identity-n", "0", "--max-census-n", "5",
+                           "--max-roundtrip-len", "3"])
+        sys.exit(status if not multiprocessing.active_children() else 3)
+    """)
+    status, out, err = run_python("-c", code)
+    assert (status, err) == (1, "error: unexpected ChildProcessError: a verify worker stopped with exit status -9\n")
+    lines = out.splitlines()
+    assert len(lines) == 2 + 4 * 4 + 2 * 5
+    assert lines[-1].startswith("census=motzkin n=4 ")

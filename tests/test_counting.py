@@ -165,7 +165,9 @@ def reference_motzkin_terms(n, motzkin):
 def test_recurrence_terms_equal_closed_forms():
     # The ratio recurrences against the closed forms they replace, summand by
     # summand: exhaustively to n = 500, then at a few large n.
-    motzkin = [motzkin_count(k) for k in range(2001)]
+    motzkin = [1, 1]  # M_0 .. M_2000 in one pass of (m + 2) M_m = (2m + 1) M_{m-1} + 3(m - 1) M_{m-2}
+    for m in range(2, 2001):
+        motzkin.append(((2 * m + 1) * motzkin[-1] + 3 * (m - 1) * motzkin[-2]) // (m + 2))
     for n in [*range(501), 1000, 2000]:
         assert touchard_rhs(n).per_k_terms == reference_touchard_terms(n), n
         assert motzkin_rhs(n).per_k_terms == reference_motzkin_terms(n, motzkin), n

@@ -56,6 +56,9 @@ def test_drawings_must_be_paths_of_unit_steps_on_or_above_the_axis():
         ((Step(0, "blue"),), "not a unit step"),
         (([1, NEUTRAL],), "not a unit step"),  # unhashable
         ((up, Step(0, []), down), "not a unit step"),  # a Step with an unhashable field
+        ((Step(1.0, NEUTRAL), down), "not a unit step"),  # equal and hashing like a unit step
+        ((Step(True, NEUTRAL), down), "not a unit step"),
+        ((up, Step(-1, type("Neutral", (str,), {})(NEUTRAL))), "not a unit step"),  # a str subclass
         (((1, NEUTRAL), (-1, NEUTRAL)), "not a unit step"),  # equal to Steps, but plain tuples
     ):
         with pytest.raises(ValueError, match=message):
