@@ -46,7 +46,6 @@ from .words import (
     enumerate_g_restricted,
     enumerate_motzkin,
     parse_letters,
-    prefix_sums,
     sample_dyck,
     validate_dyck,
     validate_g,

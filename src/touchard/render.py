@@ -15,7 +15,7 @@ from itertools import accumulate
 from operator import attrgetter
 from typing import NamedTuple
 
-from .words import Word
+from .words import Word, WordError
 
 NEUTRAL = "neutral"
 GREEN = "green"
@@ -96,7 +96,9 @@ class PathDrawing:
 
 
 def to_drawing(word: Word) -> PathDrawing:
-    """One step per letter of any validated word type."""
+    """One step per letter of any validated word type; WordError for anything else."""
+    if not isinstance(word, Word):
+        raise WordError(f"expected a Word, not a {type(word).__name__}")
     return PathDrawing(tuple(map(_STEP_BY_SYMBOL.__getitem__, word.text)))
 
 

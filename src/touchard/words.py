@@ -19,15 +19,16 @@ empty word.
 
 Validation happens once, at the public boundary, whatever Python's
 ``-O`` setting: the ``validate_*`` functions and the public constructors
-(``DyckWord("UD")``, ``GWord((Letter.UP, Letter.DOWN))``, ...) check
-their input and raise the typed errors below.  The enumerators, the
-sampler and the maps of ``bijections`` build their outputs through the
-private ``_trusted`` constructor, which checks nothing; code that builds
-words that way owns their validity, and ``touchard verify`` checks the
-maps' outputs explicitly.
+(``DyckWord("UD")``, ``GWord("URD")``, ...) take text only, check it and
+raise the typed errors below; input that is not a ``str`` raises
+BadAlphabet.  The enumerators, the sampler and the maps of
+``bijections`` build their outputs through the private ``_trusted``
+constructor, which checks nothing; code that builds words that way owns
+their validity, and ``touchard verify`` checks the maps' outputs
+explicitly.
 
-``Letter``, ``Word.letters`` and ``prefix_sums`` give a view of a word
-as a tuple of ``Letter`` members.
+``Letter``, ``Word.letters`` and ``parse_letters`` remain as a view of a
+word as a tuple of ``Letter`` members; nothing in the package reads it.
 
 Enumeration is lexicographic under the letter order of each class's
 alphabet: U < D for Dyck words, U < G < R < D for G-words and
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class Letter(Enum):
@@ -60,8 +61,8 @@ class Letter(Enum):
 
 
 _BY_SYMBOL = {letter.symbol: letter for letter in Letter}
-STEP = {letter.symbol: letter.step for letter in Letter}
-_UNKNOWN = str.maketrans(dict.fromkeys(_BY_SYMBOL))  # deletes every known symbol
+STEP = {"U": +1, "G": 0, "R": 0, "D": -1, "H": 0}
+_UNKNOWN = str.maketrans(dict.fromkeys(STEP))  # deletes every known symbol
 
 
 class WordError(ValueError):
@@ -84,35 +85,21 @@ class RedZeroAtGroundLevel(WordError):
     """A red zero whose preceding prefix sum is zero, in a restricted word."""
 
 
-def prefix_sums(letters: Iterable[Letter]) -> list[int]:
-    """Running totals of the letters' steps; entry i covers letters[:i+1]."""
-    return list(accumulate(letter.step for letter in letters))
-
-
-def _text(letters: str | Iterable[Letter]) -> str:
-    """The text of a word given as text or as ``Letter`` members.
-
-    Text may hold only the five symbols, and an iterable only ``Letter``
-    members; BadAlphabet names the first other character or item.
-    """
-    if isinstance(letters, str):
-        unknown = letters.translate(_UNKNOWN)
-        if unknown:
-            raise BadAlphabet(f"unknown letter {unknown[0]!r}")
-        return letters
-    symbols = []
-    for letter in letters:
-        if not isinstance(letter, Letter):
-            raise BadAlphabet(f"{letter!r} is not a Letter")
-        symbols.append(letter.symbol)
-    return "".join(symbols)
+def _text(text: str) -> str:
+    """``text`` if it is a ``str`` of the five symbols; else BadAlphabet."""
+    if not isinstance(text, str):
+        raise BadAlphabet(f"expected a word's text, not a {type(text).__name__}")
+    unknown = text.translate(_UNKNOWN)
+    if unknown:
+        raise BadAlphabet(f"unknown letter {unknown[0]!r}")
+    return text
 
 
 class Word:
     """Shared behavior of the validated word types.
 
-    ``Word(letters)`` takes text or an iterable of ``Letter`` members and
-    checks the family's invariants; ``text`` is the word's text.
+    ``Word(text)`` takes the word's text and checks the family's
+    invariants; ``text`` is the word's text.
     """
 
     __slots__ = ("text",)
@@ -120,9 +107,8 @@ class Word:
     _alphabet: str  # the family's letters, in enumeration order
     _family: str  # the family's name in error messages
 
-    def __init__(self, letters: str | Iterable[Letter]) -> None:
-        text = _text(letters)
-        self._check(text)
+    def __init__(self, text: str) -> None:
+        self._check(_text(text))
         _set_text(self, text)
 
     @classmethod
@@ -166,9 +152,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.text)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return map(_BY_SYMBOL.__getitem__, self.text)
 
     def __str__(self) -> str:
         return self.text
@@ -229,27 +212,28 @@ class MotzkinWord(Word):
     _family = "Motzkin"
 
 
-def validate_dyck(letters: str | Iterable[Letter]) -> DyckWord:
-    """Check the Dyck invariants of text or letters and wrap them.
+def validate_dyck(text: str) -> DyckWord:
+    """Check the Dyck invariants of a word's text and wrap it.
 
-    Raises BadAlphabet, NegativePrefix, or NotBalanced.
+    Raises BadAlphabet (also for input that is not a ``str``),
+    NegativePrefix, or NotBalanced.
     """
-    return DyckWord(letters)
+    return DyckWord(text)
 
 
-def validate_g(letters: str | Iterable[Letter]) -> GWord:
-    """Validate a bicolored Motzkin word."""
-    return GWord(letters)
+def validate_g(text: str) -> GWord:
+    """Validate the text of a bicolored Motzkin word."""
+    return GWord(text)
 
 
-def validate_g_restricted(letters: str | Iterable[Letter]) -> RestrictedGWord:
-    """Validate a restricted word; also raises RedZeroAtGroundLevel."""
-    return RestrictedGWord(letters)
+def validate_g_restricted(text: str) -> RestrictedGWord:
+    """Validate the text of a restricted word; also raises RedZeroAtGroundLevel."""
+    return RestrictedGWord(text)
 
 
-def validate_motzkin(letters: str | Iterable[Letter]) -> MotzkinWord:
-    """Validate a Motzkin word."""
-    return MotzkinWord(letters)
+def validate_motzkin(text: str) -> MotzkinWord:
+    """Validate the text of a Motzkin word."""
+    return MotzkinWord(text)
 
 
 def parse_letters(text: str) -> tuple[Letter, ...]:
@@ -337,7 +321,8 @@ def enumerate_motzkin(k: int) -> Iterator[MotzkinWord]:
     yield from map(MotzkinWord._trusted, _paths(k, MotzkinWord._alphabet))
 
 
-_MASK64 = (1 << 64) - 1
+_SPAN64 = 1 << 64  # the number of 64-bit outputs
+_MASK64 = _SPAN64 - 1
 
 
 class SplitMix64:
@@ -361,9 +346,9 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), rejection-sampled (no modulo bias)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = (_MASK64 + 1) - (_MASK64 + 1) % bound
+        if not 0 < bound <= _SPAN64:
+            raise ValueError("bound must lie in 1..2**64")
+        limit = _SPAN64 - _SPAN64 % bound
         while True:
             draw = self.next_uint64()
             if draw < limit:

@@ -14,7 +14,6 @@ from collections import Counter
 import pytest
 
 from touchard import (
-    Letter,
     MotzkinDecomposition,
     RestrictedGWord,
     TouchardDecomposition,
@@ -36,7 +35,7 @@ from touchard import (
 )
 from touchard.cli import VerifyConfig, run_checks
 
-U, D, G, R = Letter.UP, Letter.DOWN, Letter.GREEN_ZERO, Letter.RED_ZERO
+STEP = {"U": 1, "D": -1, "G": 0, "R": 0}  # each letter's step in height, independent of the package
 
 # chi-square quantile at 0.999 for 131 degrees of freedom
 # (scipy.stats.chi2.ppf(0.999, 131), frozen so the suite stays stdlib-only)
@@ -119,8 +118,8 @@ def test_censuses_to_9():
         by_nonzero = Counter()
         by_reds = Counter()
         for word in enumerate_g(n):
-            by_nonzero[sum(1 for letter in word if letter.step != 0)] += 1
-            by_reds[sum(1 for letter in word if letter is R)] += 1
+            by_nonzero[word.text.count("U") + word.text.count("D")] += 1
+            by_reds[word.text.count("R")] += 1
         assert set(by_nonzero) <= {2 * k for k in range(n // 2 + 1)}
         for k in range(n // 2 + 1):
             assert by_nonzero[2 * k] == binomial(n, 2 * k) * 2 ** (n - 2 * k) * catalan(k)
@@ -175,31 +174,29 @@ def test_sampling_uniformity():
 # --- criterion 8: the catalogue must catch planted faults -------------------
 
 _SWAPPED_PAIRS = {
-    (U, U): U,
-    (U, D): R,  # colors deliberately exchanged
-    (D, U): G,
-    (D, D): D,
+    "UU": "U",
+    "UD": "R",  # colors deliberately exchanged
+    "DU": "G",
+    "DD": "D",
 }
 
 
 def _encode_with_swapped_colors(word):
-    letters = word.letters
-    return RestrictedGWord(
-        tuple(_SWAPPED_PAIRS[letters[i], letters[i + 1]] for i in range(0, len(letters), 2))
-    )
+    text = word.text
+    return RestrictedGWord("".join(_SWAPPED_PAIRS[text[i : i + 2]] for i in range(0, len(text), 2)))
 
 
 def _raise_targeting_last_violation(word):
-    letters = word.letters
+    text = word.text
     last = None
     height = 0
-    for i, letter in enumerate(letters):
-        if letter is R and height == 0:
+    for i, ch in enumerate(text):
+        if ch == "R" and height == 0:
             last = i
-        height += letter.step
+        height += STEP[ch]
     if last is None:
-        return RestrictedGWord(letters + (G,))
-    return RestrictedGWord(letters[:last] + (U,) + letters[last + 1 :] + (D,))
+        return RestrictedGWord(text + "G")
+    return RestrictedGWord(text[:last] + "U" + text[last + 1 :] + "D")
 
 
 def _touchard_merge_flipping_a_color(decomposition):

@@ -269,16 +269,12 @@ def test_verify_default_identity_checks_pass():
 def test_verify_detects_injected_fault(capsys, monkeypatch):
     # A wrong-but-valid drop_restriction (zero colors swapped) must flip
     # the exit status without crashing the sweep.
-    from touchard import Letter, drop_restriction as real_drop
+    from touchard import drop_restriction as real_drop
 
-    swap = {
-        Letter.GREEN_ZERO: Letter.RED_ZERO,
-        Letter.RED_ZERO: Letter.GREEN_ZERO,
-    }
+    swap = str.maketrans("GR", "RG")
 
     def faulty_drop(word):
-        dropped = real_drop(word)
-        return GWord(tuple(swap.get(letter, letter) for letter in dropped.letters))
+        return GWord(real_drop(word).text.translate(swap))
 
     monkeypatch.setattr("touchard.cli.drop_restriction", faulty_drop)
     pin_cpus(monkeypatch, 2)
@@ -480,13 +476,33 @@ def test_count_prints_past_the_int_to_str_digit_limit():
 
 def test_public_constructors_check_under_optimize():
     code = textwrap.dedent("""
-        from touchard import DyckWord, Letter, NegativePrefix
+        from touchard import DyckWord, NegativePrefix
         try:
-            DyckWord((Letter.DOWN, Letter.UP))
+            DyckWord("DU")
         except NegativePrefix as exc:
             print(exc)
     """)
     assert run_python("-c", code, optimize=True) == (0, "prefix sum falls below zero at position 1\n", "")
+
+
+def test_words_are_built_from_text_only():
+    # Anything but a str, Letter members and symbol lists included, raises BadAlphabet, under -O too.
+    builders = ("DyckWord", "GWord", "RestrictedGWord", "MotzkinWord", "validate_dyck", "validate_g",
+                "validate_g_restricted", "validate_motzkin", "parse_letters")
+    code = textwrap.dedent(f"""
+        import touchard
+        from touchard import BadAlphabet, Letter
+        for name in {builders!r}:
+            for given in (None, 5, (Letter.UP, Letter.DOWN), ["U", "D"]):
+                try:
+                    getattr(touchard, name)(given)
+                except BadAlphabet as exc:
+                    print(name, exc)
+    """)
+    expected = "".join(f"{name} expected a word's text, not a {kind}\n"
+                       for name in builders for kind in ("NoneType", "int", "tuple", "list"))
+    for optimize in (False, True):
+        assert run_python("-c", code, optimize=optimize) == (0, expected, "")
 
 
 def test_verify_checks_map_outputs_under_optimize():

@@ -8,7 +8,6 @@ import pytest
 
 from touchard import (
     IdentityReport,
-    Letter,
     binomial,
     catalan,
     enumerate_g,
@@ -195,8 +194,8 @@ def test_terms_match_exhaustive_census():
         by_updown = [0] * (n // 2 + 1)
         by_reds = [0] * (n + 1)
         for word in enumerate_g(n):
-            nonzero = sum(1 for letter in word if letter.step != 0)
-            reds = sum(1 for letter in word if letter is Letter.RED_ZERO)
+            nonzero = word.text.count("U") + word.text.count("D")
+            reds = word.text.count("R")
             by_updown[nonzero // 2] += 1
             by_reds[reds] += 1
         assert tuple(by_updown) == touchard_rhs(n).per_k_terms

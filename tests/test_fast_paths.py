@@ -13,7 +13,6 @@ import tuple_reference as ref
 from touchard import (
     DyckWord,
     GWord,
-    Letter,
     MotzkinWord,
     RestrictedGWord,
     enumerate_dyck,
@@ -74,7 +73,7 @@ def sequences(family):
     """Every sequence over all five letters up to length 5, and over the
     family's own alphabet up to length 8."""
     for length in range(6):
-        yield from itertools.product(tuple(Letter), repeat=length)
+        yield from itertools.product(tuple(ref.Letter), repeat=length)
     for length in range(6, 9):
         yield from itertools.product(FAMILY_ALPHABETS[family], repeat=length)
 
@@ -89,9 +88,9 @@ def test_validators_match_reference(family):
 
     for letters in sequences(family):
         expected = outcome(reference, letters)
-        assert outcome(validate, letters) == expected, letters
-        assert outcome(validate, ref.text(letters)) == expected, letters
-        assert outcome(cls, letters) == expected, letters
+        text = ref.text(letters)
+        assert outcome(validate, text) == expected, letters
+        assert outcome(cls, text) == expected, letters
 
 
 def test_text_validation_matches_reference_on_unknown_characters():

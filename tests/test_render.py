@@ -6,11 +6,11 @@ import pytest
 
 from touchard import (
     PathDrawing,
+    WordError,
     catalan_to_g,
     enumerate_g,
     enumerate_g_restricted,
     enumerate_motzkin,
-    parse_letters,
     render_ascii,
     render_svg,
     sample_dyck,
@@ -20,12 +20,13 @@ from touchard import (
 )
 from touchard.render import AXIS_HEX, GREEN, GREEN_HEX, NEUTRAL, NEUTRAL_HEX, RED, RED_HEX, Step
 
+STEP = {"U": 1, "D": -1, "G": 0, "R": 0, "H": 0}  # each letter's step in height, independent of the package
+
 
 def drawing(text):
-    letters = parse_letters(text)
     if "H" in text:
-        return to_drawing(validate_motzkin(letters))
-    return to_drawing(validate_g(letters))
+        return to_drawing(validate_motzkin(text))
+    return to_drawing(validate_g(text))
 
 
 def svg_lines(svg):
@@ -44,6 +45,13 @@ def test_to_drawing_examples():
     assert drawing("H").steps == (Step(0, NEUTRAL),)
     assert drawing("UUDD").height == 2
     assert drawing("UUDD").width == 4
+
+
+def test_to_drawing_rejects_what_is_not_a_word():
+    with pytest.raises(WordError, match="^expected a Word, not a str$"):
+        to_drawing("UD")
+    with pytest.raises(WordError, match="^expected a Word, not a NoneType$"):
+        to_drawing(None)
 
 
 def test_drawings_must_be_paths_of_unit_steps_on_or_above_the_axis():
@@ -96,12 +104,12 @@ def test_ascii_grid_shape():
             assert all(len(row) == len(word) for row in rows)
             level = 0
             top = 0
-            for letter in word:
-                if letter.step < 0:
+            for ch in word.text:
+                if ch == "D":
                     top = max(top, level - 1)
                 else:
                     top = max(top, level)
-                level += letter.step
+                level += STEP[ch]
             assert len(rows) == top + 1
 
 

@@ -26,38 +26,42 @@ from touchard import (
     enumerate_motzkin,
     motzkin_count,
     parse_letters,
-    prefix_sums,
     sample_dyck,
     validate_dyck,
     validate_g,
     validate_g_restricted,
     validate_motzkin,
 )
-from tuple_reference import DYCK_ALPHABET, G_ALPHABET, MOTZKIN_ALPHABET
-
 U, D, G, R, H = Letter.UP, Letter.DOWN, Letter.GREEN_ZERO, Letter.RED_ZERO, Letter.FLAT
+STEP = {"U": 1, "D": -1, "G": 0, "R": 0, "H": 0}  # each letter's step in height, independent of the package
+DYCK_ALPHABET, G_ALPHABET, MOTZKIN_ALPHABET = "UD", "UGRD", "UHD"  # each in enumeration order
+
+
+def texts(alphabet, length):
+    """Every text of ``length`` letters from ``alphabet``."""
+    return map("".join, itertools.product(alphabet, repeat=length))
 
 
 # Independent validity predicate used as the brute-force oracle: it works
-# from the letter values alone and never calls the validators.
-def plain_valid(seq):
+# from the letter steps alone and never calls the validators.
+def plain_valid(text):
     total = 0
-    for letter in seq:
-        total += letter.step
+    for ch in text:
+        total += STEP[ch]
         if total < 0:
             return False
     return total == 0
 
 
-def restricted_valid(seq):
-    if not seq:
+def restricted_valid(text):
+    if not text:
         return False
     total = 0
-    for letter in seq:
-        if letter is R and total == 0:
+    for ch in text:
+        if ch == "R" and total == 0:
             return False
-        total += letter.step
-    return plain_valid(seq)
+        total += STEP[ch]
+    return plain_valid(text)
 
 
 def test_letter_values():
@@ -65,14 +69,8 @@ def test_letter_values():
     assert [letter.symbol for letter in (U, D, G, R, H)] == ["U", "D", "G", "R", "H"]
 
 
-def test_prefix_sums_examples():
-    assert prefix_sums([]) == []
-    assert prefix_sums([U, D]) == [1, 0]
-    assert prefix_sums([U, R, D]) == [1, 1, 0]
-
-
 def test_validate_dyck_accepts_arch():
-    word = validate_dyck([U, D])
+    word = validate_dyck("UD")
     assert isinstance(word, DyckWord)
     assert word.semilength == 1
     assert str(word) == "UD"
@@ -80,52 +78,48 @@ def test_validate_dyck_accepts_arch():
 
 def test_validate_dyck_rejections():
     with pytest.raises(NegativePrefix):
-        validate_dyck([D, U])
+        validate_dyck("DU")
     with pytest.raises(NotBalanced):
-        validate_dyck([U, U, D])
+        validate_dyck("UUD")
     with pytest.raises(BadAlphabet):
-        validate_dyck([U, G, D])
+        validate_dyck("UGD")
     with pytest.raises(BadAlphabet):
-        validate_dyck([U, H, D])
-    # Items of an iterable must be Letter members: their symbols as strings are not.
-    for letters in (list("UD"), [U, "D"], [U, None]):
-        with pytest.raises(BadAlphabet, match="is not a Letter"):
-            DyckWord(letters)
+        validate_dyck("UHD")
 
 
 def test_validate_g_and_restricted():
-    assert isinstance(validate_g([G, R]), GWord)
+    assert isinstance(validate_g("GR"), GWord)
     with pytest.raises(RedZeroAtGroundLevel):
-        validate_g_restricted([G, R])
-    word = validate_g_restricted([U, R, D])
+        validate_g_restricted("GR")
+    word = validate_g_restricted("URD")
     assert isinstance(word, RestrictedGWord)
     assert isinstance(word, GWord)
     with pytest.raises(WordError):
-        validate_g_restricted([])
+        validate_g_restricted("")
     with pytest.raises(BadAlphabet):
-        validate_g([U, H, D])
+        validate_g("UHD")
 
 
 def test_validate_motzkin():
-    assert isinstance(validate_motzkin([U, H, D]), MotzkinWord)
+    assert isinstance(validate_motzkin("UHD"), MotzkinWord)
     with pytest.raises(BadAlphabet):
-        validate_motzkin([G])
+        validate_motzkin("G")
     with pytest.raises(NotBalanced):
-        validate_motzkin([U])
+        validate_motzkin("U")
 
 
 def test_direct_construction_checks_in_debug():
     with pytest.raises(NegativePrefix):
-        GWord((D, U))
+        GWord("DU")
     with pytest.raises(RedZeroAtGroundLevel):
-        RestrictedGWord((R,))
+        RestrictedGWord("R")
 
 
 def test_words_are_hashable_and_type_distinct():
-    dyck = validate_dyck([U, D])
-    g = validate_g([U, D])
+    dyck = validate_dyck("UD")
+    g = validate_g("UD")
     assert dyck != g
-    assert len({dyck, g, validate_dyck([U, D])}) == 2
+    assert len({dyck, g, validate_dyck("UD")}) == 2
     with pytest.raises(AttributeError):
         dyck.letters = ()
     with pytest.raises(AttributeError):
@@ -138,7 +132,7 @@ def test_words_survive_pickle_and_copy():
     import copy
     import pickle
 
-    for word in (validate_dyck([U, D]), validate_g_restricted([U, R, D]), validate_motzkin([H])):
+    for word in (validate_dyck("UD"), validate_g_restricted("URD"), validate_motzkin("H")):
         for clone in (pickle.loads(pickle.dumps(word)), copy.copy(word), copy.deepcopy(word)):
             assert type(clone) is type(word) and clone == word
 
@@ -173,12 +167,11 @@ def test_enumerate_g_restricted_counts():
 
 def test_enumerate_motzkin_matches_brute_force():
     for k in range(9):
-        key = {letter: MOTZKIN_ALPHABET.index(letter) for letter in MOTZKIN_ALPHABET}
         expected = sorted(
-            (seq for seq in itertools.product(MOTZKIN_ALPHABET, repeat=k) if plain_valid(seq)),
-            key=lambda seq: [key[letter] for letter in seq],
+            (text for text in texts(MOTZKIN_ALPHABET, k) if plain_valid(text)),
+            key=lambda text: [MOTZKIN_ALPHABET.index(ch) for ch in text],
         )
-        assert [w.letters for w in enumerate_motzkin(k)] == expected
+        assert [w.text for w in enumerate_motzkin(k)] == expected
     assert sum(1 for _ in enumerate_motzkin(3)) == 4
 
 
@@ -190,25 +183,24 @@ def test_enumerate_motzkin_counts():
 def test_enumerators_agree_with_validators_up_to_length_8():
     # A sequence is yielded iff the validator accepts it.
     for length in range(9):
-        g_set = {w.letters for w in enumerate_g(length)}
-        res_set = {w.letters for w in enumerate_g_restricted(length)}
-        for seq in itertools.product(G_ALPHABET, repeat=length):
-            assert (seq in g_set) == plain_valid(seq)
-            assert (seq in res_set) == restricted_valid(seq)
+        g_set = {w.text for w in enumerate_g(length)}
+        res_set = {w.text for w in enumerate_g_restricted(length)}
+        for text in texts(G_ALPHABET, length):
+            assert (text in g_set) == plain_valid(text)
+            assert (text in res_set) == restricted_valid(text)
         dyck_set = (
-            {w.letters for w in enumerate_dyck(length // 2)} if length % 2 == 0 else set()
+            {w.text for w in enumerate_dyck(length // 2)} if length % 2 == 0 else set()
         )
-        for seq in itertools.product(DYCK_ALPHABET, repeat=length):
-            assert (seq in dyck_set) == plain_valid(seq)
+        for text in texts(DYCK_ALPHABET, length):
+            assert (text in dyck_set) == plain_valid(text)
 
 
 def test_enumeration_order_is_lexicographic():
-    key = {letter: G_ALPHABET.index(letter) for letter in G_ALPHABET}
     for n in range(7):
-        words = [[key[letter] for letter in w.letters] for w in enumerate_g(n)]
+        words = [[G_ALPHABET.index(ch) for ch in w.text] for w in enumerate_g(n)]
         assert words == sorted(words)
     for n in range(7):
-        words = [[DYCK_ALPHABET.index(letter) for letter in w.letters] for w in enumerate_dyck(n)]
+        words = [[DYCK_ALPHABET.index(ch) for ch in w.text] for w in enumerate_dyck(n)]
         assert words == sorted(words)
 
 
@@ -227,7 +219,7 @@ def test_enumeration_streams_are_independent():
 
 def test_prefix_sums_of_valid_words():
     for w in enumerate_g(5):
-        sums = prefix_sums(w.letters)
+        sums = list(itertools.accumulate(STEP[ch] for ch in w.text))
         assert all(s >= 0 for s in sums)
         assert not sums or sums[-1] == 0
 
@@ -243,7 +235,8 @@ def test_parse_letters():
 
 def test_str_parse_roundtrip():
     for w in enumerate_g(4):
-        assert validate_g(parse_letters(str(w))) == w
+        assert validate_g(str(w)) == w
+        assert parse_letters(str(w)) == w.letters
 
 
 def test_splitmix64_reference_vector():
@@ -262,6 +255,11 @@ def test_splitmix64_below_bounds():
     assert set(draws) == set(range(7))
     with pytest.raises(ValueError):
         rng.below(0)
+    # Past 2**64 no 64-bit draw could be accepted: refused at once, not an endless loop.
+    for bound in (-1, 2**64 + 1, 2**65):
+        with pytest.raises(ValueError, match=r"^bound must lie in 1\.\.2\*\*64$"):
+            rng.below(bound)
+    assert SplitMix64(0).below(2**64) == 0xE220A8397B1DCDAF  # every draw is accepted as it is
 
 
 def test_sample_dyck_trivial_and_deterministic():
@@ -290,7 +288,7 @@ def test_sample_dyck_spread_over_c6():
 def test_sample_dyck_is_valid_and_reproducible(n, seed):
     word = sample_dyck(n, seed)
     assert word.semilength == n
-    assert validate_dyck(word.letters) == word
+    assert validate_dyck(word.text) == word
     assert sample_dyck(n, seed) == word
 
 

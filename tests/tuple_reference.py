@@ -4,13 +4,30 @@ This is the package's earlier representation: words were tuples of
 ``Letter`` enums, walked one letter at a time.  The package now works on
 text; the tests compare its fast paths with these slow, plain versions
 (same outputs, same enumeration order, same errors).  Nothing here calls
-the package's validators, enumerators or maps.
+the package's validators, enumerators or maps, and ``Letter`` is this
+module's own, so the oracle does not lean on the package's letter view.
 """
 
 import re
+from enum import Enum
 
-from touchard import BadAlphabet, InvalidDecomposition, Letter, NegativePrefix, NotBalanced
+from touchard import BadAlphabet, InvalidDecomposition, NegativePrefix, NotBalanced
 from touchard import RedZeroAtGroundLevel, WordError
+
+
+class Letter(Enum):
+    """A path letter: its symbol in a word's text and its step in height."""
+
+    UP = ("U", +1)
+    GREEN_ZERO = ("G", 0)
+    RED_ZERO = ("R", 0)
+    DOWN = ("D", -1)
+    FLAT = ("H", 0)
+
+    def __init__(self, symbol, step):
+        self.symbol = symbol
+        self.step = step
+
 
 U, D, G, R, H = Letter.UP, Letter.DOWN, Letter.GREEN_ZERO, Letter.RED_ZERO, Letter.FLAT
 DYCK_ALPHABET = (U, D)
