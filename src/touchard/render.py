@@ -78,12 +78,7 @@ class PathDrawing:
             bad = next(step for step in steps if type(step) is not Step or type(step.dy) is not int
                        or type(step.color) is not str or step not in _STEPS)
             raise ValueError(f"{bad!r} is not a unit step in {NEUTRAL}, {GREEN} or {RED}")
-        levels = tuple(accumulate(map(_dy, steps), initial=0))
-        if min(levels) < 0:
-            raise ValueError(f"the path falls below the axis at step {levels.index(-1)}")
-        if levels[-1] != 0:
-            raise ValueError(f"the path ends at height {levels[-1]}, not on the axis")
-        self.__dict__.update(steps=steps, _levels=levels)  # past the frozen __setattr__
+        _set_steps(self, steps)
 
     @property
     def width(self) -> int:
@@ -95,11 +90,26 @@ class PathDrawing:
         return max(self._levels)
 
 
+def _set_steps(drawing: PathDrawing, steps: tuple[Step, ...]) -> PathDrawing:
+    """Give a drawing its steps and ``_levels``; ValueError if they dip below the axis or end above it."""
+    levels = tuple(accumulate(map(_dy, steps), initial=0))
+    if min(levels) < 0:
+        raise ValueError(f"the path falls below the axis at step {levels.index(-1)}")
+    if levels[-1] != 0:
+        raise ValueError(f"the path ends at height {levels[-1]}, not on the axis")
+    drawing.__dict__.update(steps=steps, _levels=levels)  # past the frozen __setattr__
+    return drawing
+
+
 def to_drawing(word: Word) -> PathDrawing:
-    """One step per letter of any validated word type; WordError for anything else."""
+    """One step per letter of any validated word type; WordError for anything else.
+
+    The steps come from the letters' table, so ``PathDrawing``'s per-step
+    type checks, which could not fail, are skipped; its height checks run.
+    """
     if not isinstance(word, Word):
         raise WordError(f"expected a Word, not a {type(word).__name__}")
-    return PathDrawing(tuple(map(_STEP_BY_SYMBOL.__getitem__, word.text)))
+    return _set_steps(object.__new__(PathDrawing), tuple(map(_STEP_BY_SYMBOL.__getitem__, word.text)))
 
 
 def render_ascii(drawing: PathDrawing) -> str:

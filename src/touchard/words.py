@@ -38,9 +38,12 @@ golden outputs are stable.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
-from itertools import accumulate
-from typing import Iterator
+from functools import cache
+from itertools import accumulate, islice
+from operator import mod
+from typing import Iterable, Iterator
 
 
 class Letter(Enum):
@@ -281,13 +284,17 @@ def _paths(length: int, alphabet: str, ground_red_ok: bool = True) -> Iterator[s
         text = successor(text)
 
 
+def _size(n: int, what: str) -> None:
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{what} must be a non-negative int, not {n!r}")
+
+
 def enumerate_dyck(n: int) -> Iterator[DyckWord]:
     """All Dyck words of semilength n, lexicographically (U before D).
 
     Yields catalan(n) words.
     """
-    if n < 0:
-        raise ValueError("semilength must be non-negative")
+    _size(n, "semilength")
     yield from map(DyckWord._trusted, _paths(2 * n, DyckWord._alphabet))
 
 
@@ -296,8 +303,7 @@ def enumerate_g(n: int) -> Iterator[GWord]:
 
     Yields catalan(n + 1) words.
     """
-    if n < 0:
-        raise ValueError("length must be non-negative")
+    _size(n, "length")
     yield from map(GWord._trusted, _paths(n, GWord._alphabet))
 
 
@@ -307,8 +313,7 @@ def enumerate_g_restricted(length: int) -> Iterator[RestrictedGWord]:
     Yields catalan(length) words; the stream is empty for length 0
     because restricted words are never empty.
     """
-    if length < 0:
-        raise ValueError("length must be non-negative")
+    _size(length, "length")
     if length == 0:
         return
     yield from map(RestrictedGWord._trusted, _paths(length, RestrictedGWord._alphabet, ground_red_ok=False))
@@ -316,36 +321,60 @@ def enumerate_g_restricted(length: int) -> Iterator[RestrictedGWord]:
 
 def enumerate_motzkin(k: int) -> Iterator[MotzkinWord]:
     """All Motzkin words of length k, lexicographically (U < H < D)."""
-    if k < 0:
-        raise ValueError("length must be non-negative")
+    _size(k, "length")
     yield from map(MotzkinWord._trusted, _paths(k, MotzkinWord._alphabet))
 
 
 _SPAN64 = 1 << 64  # the number of 64-bit outputs
 _MASK64 = _SPAN64 - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
+_CHUNK = 2048  # outputs per lane computation in SplitMix64.below_each
+_LOW_HALVES = slice(None, None, 2 if sys.byteorder == "little" else -2)  # of lanes as array("Q")
+
+
+def _mix(z: int, mask: int) -> int:
+    """SplitMix64's output function on each 64-bit lane of z, 128 bits apart; ``mask`` is 2**64 - 1 in each."""
+    # A lane's product fits in its 128 bits; the mask before it drops the shift's carry from the lane above.
+    z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+    z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+@cache
+def _lane_constants() -> tuple[int, int, int]:
+    """k·_GAMMA mod 2**64, 1 and 2**64 - 1 in lanes k - 1 = 0.._CHUNK - 1."""
+    steps = b"".join((k * _GAMMA & _MASK64).to_bytes(16, "little") for k in range(1, _CHUNK + 1))
+    ones = int.from_bytes((b"\x01" + bytes(15)) * _CHUNK, "little")
+    return int.from_bytes(steps, "little"), ones, ones * _MASK64
 
 
 class SplitMix64:
     """SplitMix64: a small fixed 64-bit generator.
 
     The output sequence depends only on the 64-bit seed, so sampled
-    words are reproducible across platforms and Python versions.
+    words are reproducible across platforms and Python versions.  From
+    state s the i-th output is mix(s + i·_GAMMA): ``below_each`` computes a
+    chunk of them as lanes of one integer.  ``below(b)`` returns d % b for
+    an output d with d + b <= 2**64; if a chunk's bounds are ints >= 1 and
+    its largest output and bound pass that test, so does each of its draws,
+    and otherwise ``below`` itself draws the chunk again.
     """
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int) -> None:
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an int, not {seed!r}")
         self._state = seed & _MASK64
 
     def next_uint64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self._state = state = (self._state + _GAMMA) & _MASK64
+        return _mix(state, _MASK64)
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), rejection-sampled (no modulo bias)."""
+        if type(bound) is not int:
+            raise ValueError(f"bound must be an int, not {bound!r}")
         if not 0 < bound <= _SPAN64:
             raise ValueError("bound must lie in 1..2**64")
         limit = _SPAN64 - _SPAN64 % bound
@@ -353,6 +382,21 @@ class SplitMix64:
             draw = self.next_uint64()
             if draw < limit:
                 return draw % bound
+
+    def below_each(self, bounds: Iterable[int]) -> Iterator[int]:
+        """``below(b)`` for each b of ``bounds`` in turn, leaving the state where those calls would."""
+        from array import array  # not at import: touchard.cli's start-up never needs it
+        steps, ones, masks = _lane_constants()
+        bounds = iter(bounds)
+        while chunk := list(islice(bounds, _CHUNK)):
+            mask = masks & ((1 << 128 * len(chunk)) - 1)  # the chunk's lanes
+            z = _mix(((steps & mask) + self._state * (ones & mask)) & mask, mask)
+            draws = array("Q", z.to_bytes(16 * len(chunk), sys.byteorder))[_LOW_HALVES]
+            if {int}.issuperset(map(type, chunk)) and min(chunk) > 0 and max(draws) <= _SPAN64 - max(chunk):
+                self._state = (self._state + len(chunk) * _GAMMA) & _MASK64
+                yield from map(mod, draws, chunk)
+            else:
+                yield from map(self.below, chunk)
 
 
 def sample_dyck(n: int, seed: int) -> DyckWord:
@@ -363,14 +407,13 @@ def sample_dyck(n: int, seed: int) -> DyckWord:
     prefix sum strictly positive (it starts just after the last minimum
     of the prefix sums).  Dropping its leading up-step leaves a Dyck
     word, and each Dyck word arises from exactly 2n+1 of the equally
-    likely shuffles, so the output is exactly uniform over C_n.
+    likely shuffles, so the output is exactly uniform over C_n.  The
+    shuffle's indices are those of one ``below`` per step, drawn in chunks.
     """
-    if n < 0:
-        raise ValueError("semilength must be non-negative")
-    rng = SplitMix64(seed)
+    _size(n, "semilength")
     steps = ["U"] * (n + 1) + ["D"] * n
-    for i in range(len(steps) - 1, 0, -1):  # Fisher-Yates
-        j = rng.below(i + 1)
+    draws = SplitMix64(seed).below_each(range(2 * n + 1, 1, -1))
+    for i, j in zip(range(2 * n, 0, -1), draws):  # Fisher-Yates: j = below(i + 1)
         steps[i], steps[j] = steps[j], steps[i]
     sums = list(accumulate(map(STEP.__getitem__, steps), initial=0))
     low = min(sums)

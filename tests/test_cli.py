@@ -505,6 +505,35 @@ def test_words_are_built_from_text_only():
         assert run_python("-c", code, optimize=optimize) == (0, expected, "")
 
 
+def test_sizes_seeds_and_bounds_must_be_ints():
+    # A float, a bool or a str where a size, seed or bound goes raises ValueError, under -O too.
+    calls = {
+        "sample_dyck(2.5, 0)": "semilength must be a non-negative int, not 2.5",
+        "sample_dyck(True, 0)": "semilength must be a non-negative int, not True",
+        "sample_dyck(3, 1.5)": "seed must be an int, not 1.5",
+        "SplitMix64(1.5)": "seed must be an int, not 1.5",
+        "SplitMix64(0).below(7.5)": "bound must be an int, not 7.5",
+        "SplitMix64(0).below(True)": "bound must be an int, not True",
+        "list(SplitMix64(0).below_each([2, 7.5]))": "bound must be an int, not 7.5",
+        "list(enumerate_dyck(2.5))": "semilength must be a non-negative int, not 2.5",
+        "list(enumerate_g(2.5))": "length must be a non-negative int, not 2.5",
+        "list(enumerate_g_restricted('3'))": "length must be a non-negative int, not '3'",
+        "list(enumerate_motzkin(False))": "length must be a non-negative int, not False",
+    }
+    code = textwrap.dedent(f"""
+        from touchard import SplitMix64, enumerate_dyck, enumerate_g, enumerate_g_restricted
+        from touchard import enumerate_motzkin, sample_dyck
+        for call in {list(calls)!r}:
+            try:
+                eval(call)
+            except ValueError as exc:
+                print(call, exc)
+    """)
+    expected = "".join(f"{call} {message}\n" for call, message in calls.items())
+    for optimize in (False, True):
+        assert run_python("-c", code, optimize=optimize) == (0, expected, "")
+
+
 def test_verify_checks_map_outputs_under_optimize():
     # A planted drop/raise pair whose round trips all succeed while drop
     # returns words that dip below ground: drop mirrors its true output

@@ -5,9 +5,12 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from touchard import (
+    DyckWord,
+    GWord,
     PathDrawing,
     WordError,
     catalan_to_g,
+    enumerate_dyck,
     enumerate_g,
     enumerate_g_restricted,
     enumerate_motzkin,
@@ -21,6 +24,7 @@ from touchard import (
 from touchard.render import AXIS_HEX, GREEN, GREEN_HEX, NEUTRAL, NEUTRAL_HEX, RED, RED_HEX, Step
 
 STEP = {"U": 1, "D": -1, "G": 0, "R": 0, "H": 0}  # each letter's step in height, independent of the package
+COLOR = {"U": NEUTRAL, "D": NEUTRAL, "G": GREEN, "R": RED, "H": NEUTRAL}
 
 
 def drawing(text):
@@ -52,6 +56,35 @@ def test_to_drawing_rejects_what_is_not_a_word():
         to_drawing("UD")
     with pytest.raises(WordError, match="^expected a Word, not a NoneType$"):
         to_drawing(None)
+
+
+def checked_drawing(text):
+    """The drawing of a word's text through ``PathDrawing``'s checking constructor."""
+    return PathDrawing([Step(STEP[ch], COLOR[ch]) for ch in text])
+
+
+def test_to_drawing_is_the_checked_drawing():
+    # Every word up to length 8 in all four families, then sampled words of semilength 501.
+    words = [word for n in range(9) for family in (enumerate_g, enumerate_g_restricted, enumerate_motzkin)
+             for word in family(n)]
+    words += [word for n in range(5) for word in enumerate_dyck(n)]
+    samples = [sample_dyck(501, seed) for seed in range(8)]
+    words += samples + [catalan_to_g(word) for word in samples]
+    for word in words:
+        drawing, checked = to_drawing(word), checked_drawing(word.text)
+        assert drawing == checked and type(drawing) is PathDrawing, word
+        assert drawing.steps == checked.steps and type(drawing.steps) is tuple, word
+        assert drawing._levels == checked._levels and drawing.height == checked.height, word
+        assert render_ascii(drawing) == render_ascii(checked), word
+        assert render_svg(drawing) == render_svg(checked), word
+
+
+def test_to_drawing_checks_the_heights_of_words_built_unchecked():
+    for word, message in ((DyckWord._trusted("DU"), "the path falls below the axis at step 1"),
+                          (GWord._trusted("U"), "the path ends at height 1, not on the axis")):
+        for build in (to_drawing, lambda word: checked_drawing(word.text)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(word)
 
 
 def test_drawings_must_be_paths_of_unit_steps_on_or_above_the_axis():

@@ -1,6 +1,7 @@
 """Word types, validation, enumeration, text codec, and sampling."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -32,6 +33,10 @@ from touchard import (
     validate_g_restricted,
     validate_motzkin,
 )
+from touchard.words import _CHUNK
+
+import tuple_reference as ref
+
 U, D, G, R, H = Letter.UP, Letter.DOWN, Letter.GREEN_ZERO, Letter.RED_ZERO, Letter.FLAT
 STEP = {"U": 1, "D": -1, "G": 0, "R": 0, "H": 0}  # each letter's step in height, independent of the package
 DYCK_ALPHABET, G_ALPHABET, MOTZKIN_ALPHABET = "UD", "UGRD", "UHD"  # each in enumeration order
@@ -260,6 +265,63 @@ def test_splitmix64_below_bounds():
         with pytest.raises(ValueError, match=r"^bound must lie in 1\.\.2\*\*64$"):
             rng.below(bound)
     assert SplitMix64(0).below(2**64) == 0xE220A8397B1DCDAF  # every draw is accepted as it is
+
+
+# Bound counts that leave the last chunk empty, one bound long, one short of full, full,
+# one over, and several chunks with a short tail.
+CHUNK_SHAPES = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+
+
+@pytest.mark.parametrize("count", CHUNK_SHAPES)
+def test_below_each_is_below_in_turn(count):
+    rng = random.Random(count)
+    for seed in (0, 2**64 - 1, *(rng.getrandbits(64) for _ in range(4))):
+        shapes = (
+            range(count + 1, 1, -1),  # the sampler's Fisher-Yates bounds
+            [rng.randrange(1, 2**20) for _ in range(count)],
+            [rng.choice((1, 2**63, 2**64, rng.randrange(1, 2**64))) for _ in range(count)],  # mostly rejections
+        )
+        for bounds in shapes:
+            batch, single = SplitMix64(seed), SplitMix64(seed)
+            assert list(batch.below_each(bounds)) == [single.below(b) for b in bounds]
+            assert batch.next_uint64() == single.next_uint64()  # the same state afterwards
+
+
+MIXERS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+
+
+def unshift(y, shift):
+    """The x with x ^ (x >> shift) == y, fixing ``shift`` more top bits a round."""
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def state_of_output(z):
+    """SplitMix64's output function run backwards: the state that outputs z."""
+    z = unshift(z, 31)
+    for shift, multiplier in reversed(MIXERS):
+        z = unshift(z * pow(multiplier, -1, 2**64) & (2**64 - 1), shift)
+    return z
+
+
+@pytest.mark.parametrize("k", (0, 5, _CHUNK - 1, _CHUNK))
+def test_below_each_redraws_a_rejected_output(k):
+    # A seed whose k-th output is 2**64 - 1, which below(3) rejects (2**64 % 3 == 1).
+    seed = (state_of_output(2**64 - 1) - (k + 1) * 0x9E3779B97F4A7C15) % 2**64
+    assert list(itertools.islice(ref.splitmix64(seed), k, k + 1)) == [2**64 - 1]
+    for bounds in ([3] * (k + 1), [3] * (2 * _CHUNK + 1), range(2 * _CHUNK + 2, 1, -1)):
+        outputs, batch = ref.splitmix64(seed), SplitMix64(seed)
+        assert list(batch.below_each(bounds)) == [ref.below(outputs, b) for b in bounds]
+        assert batch.next_uint64() == next(outputs)  # one output past the bounds: the redraw
+
+
+def test_sample_dyck_matches_the_one_draw_at_a_time_sampler():
+    cases = [(n, seed) for n in range(61) for seed in range(50)]
+    cases += [(n, seed) for n in (1023, 1024, 1025, 5000) for seed in (0, 7, 2**64 - 1)]
+    for n, seed in cases:
+        assert sample_dyck(n, seed).text == ref.sample_dyck(n, seed), (n, seed)
 
 
 def test_sample_dyck_trivial_and_deterministic():

@@ -285,3 +285,40 @@ def map_line(direction, line):
     if direction == "mmerge":
         return text(motzkin_merge(*parse_motzkin_line(line)))
     raise KeyError(direction)
+
+
+MASK64 = 2**64 - 1
+
+
+def splitmix64(seed):
+    """SplitMix64's outputs from ``seed``, one at a time, as in the reference C version."""
+    state = seed & MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
+
+
+def below(outputs, bound):
+    """A uniform integer in [0, bound) from an output stream, rejecting the biased top."""
+    limit = 2**64 - 2**64 % bound
+    for draw in outputs:
+        if draw < limit:
+            return draw % bound
+
+
+def sample_dyck(n, seed):
+    """The sampler's text, one draw per Fisher-Yates step: shuffle, then the cycle-lemma rotation."""
+    outputs = splitmix64(seed)
+    steps = [U] * (n + 1) + [D] * n
+    for i in range(2 * n, 0, -1):
+        j = below(outputs, i + 1)
+        steps[i], steps[j] = steps[j], steps[i]
+    height, low, cut = 0, 0, 0
+    for i, letter in enumerate(steps, start=1):
+        height += letter.step
+        if height <= low:
+            low, cut = height, i
+    return text(steps[cut:] + steps[:cut])[1:]
