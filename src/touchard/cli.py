@@ -17,7 +17,7 @@ import os
 import sys
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .bijections import (
@@ -44,6 +44,7 @@ from .words import (
     MotzkinWord,
     RestrictedGWord,
     Word,
+    _paths,
     enumerate_dyck,
     enumerate_g,
     enumerate_g_restricted,
@@ -67,7 +68,8 @@ class VerifyConfig:
 
 
 # The most worker processes ``verify`` starts: the count its speed and memory
-# were measured at.  Each worker holds one round-trip size's families.
+# were measured at.  Each worker holds one round-trip size's families as
+# texts, and its own share of them as words.
 MAX_JOBS = 2
 
 
@@ -85,22 +87,23 @@ def resolve_jobs() -> int:
     return min(available, MAX_JOBS)
 
 
-def _family(cls: type, words: Iterable[Word]) -> Callable[[Word], bool]:
-    """A test for membership in ``words``: same class and one of their texts."""
-    texts = {word.text for word in words}
+def _family(cls: type, texts: Iterable[str]) -> Callable[[Word], bool]:
+    """A test for membership in the family of ``texts``: same class and one of those texts."""
+    texts = set(texts)
     return lambda word: word.__class__ is cls and word.text in texts
 
 
 def _first_failure(words: list, shard: int, jobs: int, forward: Callable, backward: Callable,
                    valid: Callable) -> tuple[int, str] | None:
-    """The first of ``words[shard::jobs]`` not sent by ``forward`` to a ``valid`` image that ``backward`` undoes.
+    """The first of a shard's ``words`` not sent by ``forward`` to a ``valid`` image that ``backward`` undoes.
 
-    It is given as its index in ``words`` and its text.  ``valid`` compares each
-    image with the enumerated target family, under ``python -O`` too; a map that
-    raises ValueError fails on that word.
+    ``words`` are a family's words ``shard``, ``shard + jobs``, ... in
+    enumeration order; the failure is given as its index in the family and
+    its text.  ``valid`` compares each image with the enumerated target
+    family, under ``python -O`` too; a map that raises ValueError fails on
+    that word.
     """
-    for index in range(shard, len(words), jobs):
-        word = words[index]
+    for index, word in zip(count(shard, jobs), words):
         try:
             image = forward(word)
             if valid(image) and backward(image) == word:
@@ -126,29 +129,36 @@ def _roundtrip_shard(n: int, shard: int, jobs: int) -> list[tuple]:
     Each check is (name, target size, the size of each side, the first failure
     of each side in this shard as (index, text) or None).  The target size is
     the size of the family the first side maps to; for a split map, the number
-    of decompositions: the identity's right-hand side.
+    of decompositions: the identity's right-hand side.  The families are
+    enumerated as texts, and only the shard's own texts become words.
     """
-    dyck = list(enumerate_dyck(n + 1))
-    restricted = list(enumerate_g_restricted(n + 1))
-    grown = list(enumerate_g(n))
+    dyck = list(_paths(2 * n + 2, DyckWord._alphabet))
+    restricted = list(_paths(n + 1, RestrictedGWord._alphabet, ground_red_ok=False))
+    grown = list(_paths(n, GWord._alphabet))
     is_dyck = _family(DyckWord, dyck)
     is_restricted = _family(RestrictedGWord, restricted)
     is_g = _family(GWord, grown)
-    is_dyck_core = _family(DyckWord, chain.from_iterable(map(enumerate_dyck, range(n // 2 + 1))))
-    is_motzkin_core = _family(MotzkinWord, chain.from_iterable(map(enumerate_motzkin, range(n + 1))))
-    # name, size of the target family, then (words, forward, backward, valid) per enumerated side
+    is_dyck_core = _family(DyckWord, chain.from_iterable(
+        _paths(2 * k, DyckWord._alphabet) for k in range(n // 2 + 1)))
+    is_motzkin_core = _family(MotzkinWord, chain.from_iterable(
+        _paths(k, MotzkinWord._alphabet) for k in range(n + 1)))
+    own_dyck, own_restricted, own_grown = (  # this shard's words of each family
+        list(map(cls._trusted, texts[shard::jobs]))
+        for cls, texts in ((DyckWord, dyck), (RestrictedGWord, restricted), (GWord, grown))
+    )
+    # name, size of the target family, then (texts, shard's words, forward, backward, valid) per enumerated side
     return [
         (name, target_size, [len(side[0]) for side in sides],
-         [_first_failure(words, shard, jobs, *maps) for words, *maps in sides])
+         [_first_failure(words, shard, jobs, *maps) for _, words, *maps in sides])
         for name, target_size, *sides in (
-            ("pair", len(restricted), (dyck, pair_encode, pair_decode, is_restricted),
-             (restricted, pair_decode, pair_encode, is_dyck)),
-            ("restriction", len(grown), (restricted, drop_restriction, raise_restriction, is_g),
-             (grown, raise_restriction, drop_restriction, is_restricted)),
+            ("pair", len(restricted), (dyck, own_dyck, pair_encode, pair_decode, is_restricted),
+             (restricted, own_restricted, pair_decode, pair_encode, is_dyck)),
+            ("restriction", len(grown), (restricted, own_restricted, drop_restriction, raise_restriction, is_g),
+             (grown, own_grown, raise_restriction, drop_restriction, is_restricted)),
             ("touchard_split", touchard_rhs(n).rhs,
-             (grown, touchard_split, touchard_merge, lambda d: is_dyck_core(d.core))),
+             (grown, own_grown, touchard_split, touchard_merge, lambda d: is_dyck_core(d.core))),
             ("motzkin_split", motzkin_rhs(n).rhs,
-             (grown, motzkin_split, motzkin_merge, lambda d: is_motzkin_core(d.core))),
+             (grown, own_grown, motzkin_split, motzkin_merge, lambda d: is_motzkin_core(d.core))),
         )
     ]
 

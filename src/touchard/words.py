@@ -244,17 +244,45 @@ def parse_letters(text: str) -> tuple[Letter, ...]:
     return tuple(map(_BY_SYMBOL.__getitem__, _text(text)))
 
 
+_TAIL_WORDS = 4096  # the most completions _paths tabulates
+
+
+def _completions(length: int, alphabet: str, ground_red_ok: bool) -> tuple[int, list[list[str]]]:
+    """(tail, table): table[h] holds every completion of ``tail`` letters from height h, in alphabet order.
+
+    The tail grows one letter at a time, up to ``length``, while the table
+    would hold at most ``_TAIL_WORDS`` words; only its last level is kept.
+    """
+    tail, table = 0, [[""]]
+    while tail < length:
+        # From height h, each letter leads to the completions one letter shorter from its own height.
+        grown = [
+            [(ch, table[h + STEP[ch]]) for ch in alphabet
+             if 0 <= h + STEP[ch] <= tail and (ground_red_ok or h or ch != "R")]
+            for h in range(tail + 2)
+        ]
+        if sum(len(rests) for firsts in grown for _, rests in firsts) > _TAIL_WORDS:
+            break
+        table = [[ch + rest for ch, rests in firsts for rest in rests] for firsts in grown]
+        tail += 1
+    return tail, table
+
+
 def _paths(length: int, alphabet: str, ground_red_ok: bool = True) -> Iterator[str]:
     """Balanced non-negative words of ``length`` letters, in ``alphabet``'s lexicographic order.
 
-    Each word is the successor of the one before: change the last letter
-    that can grow to a later letter of the alphabet, then append the
-    smallest completion.  A height h with r letters left can be completed
-    iff 0 <= h <= r, and the smallest completion is U^a Z^(r-h-2a) D^(h+a)
-    with a = (r-h)//2 and Z = alphabet[1], the green or flat zero (r-h is
-    always even for Dyck words).  Restricted words (``ground_red_ok``
-    false) also refuse a red zero at height 0; the smallest completion
-    never holds a red zero.  Memory is O(length).
+    A height h with r letters left can be completed iff 0 <= h <= r (r-h
+    is always even for Dyck words), and restricted words
+    (``ground_red_ok`` false) also refuse a red zero at height 0.  The
+    last letters come from a table built per call (``_completions``):
+    every word with a given head, the first ``length - tail`` letters, is
+    that head followed by each completion of the head's height in turn.
+    The next head is that of the successor of the head's last word: change
+    the last letter that can grow to a later letter of the alphabet, then
+    append the smallest completion, U^a Z^(r-h-2a) D^(h+a) with
+    a = (r-h)//2 and Z = alphabet[1], the green or flat zero, which never
+    holds a red zero.  Memory is O(length) plus at most ``_TAIL_WORDS``
+    table words.
     """
     later = {ch: alphabet[i + 1 :] for i, ch in enumerate(alphabet)}
     zero = alphabet[1]
@@ -278,10 +306,14 @@ def _paths(length: int, alphabet: str, ground_red_ok: bool = True) -> Iterator[s
                     return text[:i] + bigger + completion(new_height, remaining)
         return None
 
+    tail, table = _completions(length, alphabet, ground_red_ok)
+    head = length - tail
     text = completion(0, length)
     while text is not None:
-        yield text
-        text = successor(text)
+        prefix = text[:head]
+        block = table[prefix.count("U") - prefix.count("D")]
+        yield from map(prefix.__add__, block)
+        text = successor(prefix + block[-1])
 
 
 def _size(n: int, what: str) -> None:

@@ -2,7 +2,9 @@
 
 Exhaustive at small sizes: every word up to length 8 (semilength 9 for
 Dyck words) through the enumerators, the validators and all ten ``map``
-directions, with the same outputs and the same errors.
+directions, with the same outputs and the same errors.  The enumerator's
+table of completions is also compared with its successor-only form, up to
+length 10 to 13 (semilength 11).
 """
 
 import itertools
@@ -25,6 +27,7 @@ from touchard import (
     validate_motzkin,
 )
 from touchard.cli import _MAP_FUNCTIONS, MAP_DIRECTIONS
+from touchard.words import _completions, _paths
 
 ENUMERATORS = {
     "dyck": enumerate_dyck,
@@ -135,3 +138,41 @@ def test_map_directions_match_reference(direction):
     apply = _MAP_FUNCTIONS[direction]
     for line in map_inputs():
         assert outcome(apply, line) == outcome(ref.map_line, direction, line), line
+
+
+# The largest sizes put 4 to 8 head letters before the tail of _paths's
+# table (G 6 letters, restricted 7, Motzkin 8, Dyck 14); the smallest have
+# no head, or a head of one letter.
+PATH_FAMILIES = {
+    "dyck": (enumerate_dyck, DyckWord._alphabet, True, range(12)),
+    "g": (enumerate_g, GWord._alphabet, True, range(11)),
+    "grestricted": (enumerate_g_restricted, RestrictedGWord._alphabet, False, range(1, 12)),
+    "motzkin": (enumerate_motzkin, MotzkinWord._alphabet, True, range(14)),
+}
+
+
+@pytest.mark.parametrize("family", PATH_FAMILIES)
+def test_completion_table_matches_successor_reference(family):
+    enumerate_family, alphabet, ground_red_ok, sizes_ = PATH_FAMILIES[family]
+    for size in sizes_:
+        length = 2 * size if family == "dyck" else size
+        expected = list(ref.successor_paths(length, alphabet, ground_red_ok))
+        assert list(_paths(length, alphabet, ground_red_ok)) == expected, size
+        assert [word.text for word in enumerate_family(size)] == expected, size
+    assert [word.text for word in itertools.islice(enumerate_family(1500), 3)] == list(
+        itertools.islice(ref.successor_paths(3000 if family == "dyck" else 1500, alphabet, ground_red_ok), 3)
+    )
+
+
+def test_completion_table_size():
+    tails = {
+        (alphabet, ground_red_ok): _completions(100, alphabet, ground_red_ok)
+        for _, alphabet, ground_red_ok, _ in PATH_FAMILIES.values()
+    }
+    assert {key: (tail, sum(map(len, table))) for key, (tail, table) in tails.items()} == {
+        ("UD", True): (14, 3432),
+        ("UGRD", True): (6, 1716),
+        ("UGRD", False): (7, 3432),
+        ("UHD", True): (8, 2123),
+    }
+    assert _completions(3, "UGRD", True)[0] == 3  # never longer than the word

@@ -6,6 +6,8 @@ text; the tests compare its fast paths with these slow, plain versions
 (same outputs, same enumeration order, same errors).  Nothing here calls
 the package's validators, enumerators or maps, and ``Letter`` is this
 module's own, so the oracle does not lean on the package's letter view.
+``successor_paths`` keeps the text enumerator's earlier, successor-only
+form, the reference for its table of completions.
 """
 
 import re
@@ -118,6 +120,43 @@ def enumerate_family(family, length):
     if family == "grestricted":
         return paths(length, G_ALPHABET, ground_red_ok=False) if length else iter(())
     return paths(length, MOTZKIN_ALPHABET)
+
+
+_STEP = {letter.symbol: letter.step for letter in Letter}
+
+
+def successor_paths(length, alphabet, ground_red_ok=True):
+    """Text words in the lexicographic order of the ``alphabet`` string, each the successor of the last.
+
+    The package's enumerator before its table of completions: change the
+    last letter that can grow to a later letter of the alphabet, then append
+    the smallest completion.  It walks the whole word for every word.
+    """
+    later = {ch: alphabet[i + 1 :] for i, ch in enumerate(alphabet)}
+    zero = alphabet[1]
+
+    def completion(height, remaining):
+        ups, odd = divmod(remaining - height, 2)
+        return "U" * ups + zero * odd + "D" * (height + ups)
+
+    def successor(text):
+        i = len(text.rstrip("D"))
+        height = length - i
+        while i:
+            i -= 1
+            ch = text[i]
+            height -= _STEP[ch]
+            remaining = length - i - 1
+            for bigger in later[ch]:
+                new_height = height + _STEP[bigger]
+                if 0 <= new_height <= remaining and (ground_red_ok or height or bigger != "R"):
+                    return text[:i] + bigger + completion(new_height, remaining)
+        return None
+
+    text = completion(0, length)
+    while text is not None:
+        yield text
+        text = successor(text)
 
 
 _PAIR_TO_LETTER = {(U, U): U, (U, D): G, (D, U): R, (D, D): D}
