@@ -17,7 +17,7 @@ import os
 import sys
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .bijections import (
@@ -45,6 +45,7 @@ from .words import (
     RestrictedGWord,
     Word,
     _paths,
+    _size,
     enumerate_dyck,
     enumerate_g,
     enumerate_g_restricted,
@@ -66,10 +67,16 @@ class VerifyConfig:
     max_roundtrip_len: int = 10
     output_format: str = "text"
 
+    def __post_init__(self) -> None:
+        for bound in ("max_identity_n", "max_census_n", "max_roundtrip_len"):
+            _size(getattr(self, bound), bound)
+        if self.output_format not in ("text", "ndjson"):
+            raise ValueError(f"output_format must be 'text' or 'ndjson', not {self.output_format!r}")
+
 
 # The most worker processes ``verify`` starts: the count its speed and memory
 # were measured at.  Each worker holds one round-trip size's families as
-# texts, and its own share of them as words.
+# texts, and its own slice of them as words.
 MAX_JOBS = 2
 
 
@@ -93,24 +100,21 @@ def _family(cls: type, texts: Iterable[str]) -> Callable[[Word], bool]:
     return lambda word: word.__class__ is cls and word.text in texts
 
 
-def _first_failure(words: list, shard: int, jobs: int, forward: Callable, backward: Callable,
-                   valid: Callable) -> tuple[int, str] | None:
-    """The first of a shard's ``words`` not sent by ``forward`` to a ``valid`` image that ``backward`` undoes.
+def _first_failure(words: list, forward: Callable, backward: Callable, valid: Callable) -> str | None:
+    """The text of the first of ``words`` not sent by ``forward`` to a ``valid`` image that ``backward`` undoes.
 
-    ``words`` are a family's words ``shard``, ``shard + jobs``, ... in
-    enumeration order; the failure is given as its index in the family and
-    its text.  ``valid`` compares each image with the enumerated target
-    family, under ``python -O`` too; a map that raises ValueError fails on
-    that word.
+    None if every word survives its round trip.  ``valid`` compares each
+    image with the enumerated target family, under ``python -O`` too; a map
+    that raises ValueError fails on that word.
     """
-    for index, word in zip(count(shard, jobs), words):
+    for word in words:
         try:
             image = forward(word)
             if valid(image) and backward(image) == word:
                 continue
         except ValueError:
             pass
-        return index, word.text
+        return word.text
     return None
 
 
@@ -124,11 +128,11 @@ class Check(NamedTuple):
 
 
 def _roundtrip_shard(n: int, shard: int, jobs: int) -> list[tuple]:
-    """The four bijection checks at size n, on every ``jobs``-th word of each side from the ``shard``-th on.
+    """The four bijection checks at size n, on the ``shard``-th of ``jobs`` consecutive slices of each side.
 
-    Each check is (name, target size, the size of each side, the first failure
-    of each side in this shard as (index, text) or None).  The target size is
-    the size of the family the first side maps to; for a split map, the number
+    Each check is (name, target size, per side (how many words this shard
+    walked, the text of its first failure or None)).  The target size is the
+    size of the family the first side maps to; for a split map, the number
     of decompositions: the identity's right-hand side.  The families are
     enumerated as texts, and only the shard's own texts become words.
     """
@@ -142,39 +146,39 @@ def _roundtrip_shard(n: int, shard: int, jobs: int) -> list[tuple]:
         _paths(2 * k, DyckWord._alphabet) for k in range(n // 2 + 1)))
     is_motzkin_core = _family(MotzkinWord, chain.from_iterable(
         _paths(k, MotzkinWord._alphabet) for k in range(n + 1)))
-    own_dyck, own_restricted, own_grown = (  # this shard's words of each family
-        list(map(cls._trusted, texts[shard::jobs]))
+    own_dyck, own_restricted, own_grown = (  # this shard's slice of each family, as words
+        list(map(cls._trusted, texts[len(texts) * shard // jobs:len(texts) * (shard + 1) // jobs]))
         for cls, texts in ((DyckWord, dyck), (RestrictedGWord, restricted), (GWord, grown))
     )
-    # name, size of the target family, then (texts, shard's words, forward, backward, valid) per enumerated side
+    # name, size of the target family, then (shard's words, forward, backward, valid) per side
     return [
-        (name, target_size, [len(side[0]) for side in sides],
-         [_first_failure(words, shard, jobs, *maps) for _, words, *maps in sides])
+        (name, target_size, [(len(words), _first_failure(words, *maps)) for words, *maps in sides])
         for name, target_size, *sides in (
-            ("pair", len(restricted), (dyck, own_dyck, pair_encode, pair_decode, is_restricted),
-             (restricted, own_restricted, pair_decode, pair_encode, is_dyck)),
-            ("restriction", len(grown), (restricted, own_restricted, drop_restriction, raise_restriction, is_g),
-             (grown, own_grown, raise_restriction, drop_restriction, is_restricted)),
+            ("pair", len(restricted), (own_dyck, pair_encode, pair_decode, is_restricted),
+             (own_restricted, pair_decode, pair_encode, is_dyck)),
+            ("restriction", len(grown), (own_restricted, drop_restriction, raise_restriction, is_g),
+             (own_grown, raise_restriction, drop_restriction, is_restricted)),
             ("touchard_split", touchard_rhs(n).rhs,
-             (grown, own_grown, touchard_split, touchard_merge, lambda d: is_dyck_core(d.core))),
+             (own_grown, touchard_split, touchard_merge, lambda d: is_dyck_core(d.core))),
             ("motzkin_split", motzkin_rhs(n).rhs,
-             (grown, own_grown, motzkin_split, motzkin_merge, lambda d: is_motzkin_core(d.core))),
+             (own_grown, motzkin_split, motzkin_merge, lambda d: is_motzkin_core(d.core))),
         )
     ]
 
 
 def _roundtrip_checks(n: int, shards: list[list[tuple]]) -> Iterator[Check]:
-    """The four bijection checks at size n, merged from the results of its shards.
+    """The four bijection checks at size n, merged from the results of its shards, in shard order.
 
-    Each passes when its first side has the target size and every enumerated
-    word survives its round trip.  The counterexample is the lowest-index
-    failure of the first side that has one: the word one shard would name.
+    A side's size is the sum of the words its shards walked.  A check passes
+    when its first side has the target size and every word survives its
+    round trip; its counterexample is the first failure of the first side's
+    slices read in order, else of the second's: the word one shard would name.
     """
     for checks in zip(*shards):  # one check, as each shard saw it
-        name, target_size, sizes, _ = checks[0]
-        # per side, the failure with the lowest index in any shard
-        failures = [min(filter(None, side), default=None) for side in zip(*(failed for *_, failed in checks))]
-        counterexample = next((text for _, text in filter(None, failures)), None)
+        name, target_size, _ = checks[0]
+        sides = list(zip(*(reports for *_, reports in checks)))  # per side, each shard's (walked, failure)
+        sizes = [sum(walked for walked, _ in side) for side in sides]
+        counterexample = next((text for side in sides for _, text in side if text is not None), None)
         ok = sizes[0] == target_size and counterexample is None
         words = sum(sizes)
         record = {"check": "roundtrip", "bijection": name, "n": n, "words": words, "ok": ok}
@@ -271,10 +275,11 @@ def run_checks(cfg: VerifyConfig) -> Iterator[Check]:
     """Identity checks, exhaustive bijection checks, and stratified censuses, in that order.
 
     The identities are checked here.  Each round-trip size is split into one
-    round-robin shard per worker and each census is one task; the tasks run in
-    ``resolve_jobs()`` worker processes while the identities are checked, and
-    their results are merged in order, so the checks do not depend on the
-    worker count.  Close the generator to stop the workers early.
+    shard of consecutive words per worker and each census is one task; the
+    tasks run in ``resolve_jobs()`` worker processes while the identities are
+    checked, and their results are merged in order (a size's walked counts
+    summed, its failures read in shard order), so the checks do not depend on
+    the worker count.  Close the generator to stop the workers early.
     """
     jobs = resolve_jobs()
     roundtrip_sizes = range(cfg.max_roundtrip_len + 1)

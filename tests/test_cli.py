@@ -16,7 +16,9 @@ from touchard import (
     GWord,
     catalan,
     catalan_to_g,
+    enumerate_dyck,
     enumerate_g,
+    enumerate_g_restricted,
     sample_dyck,
 )
 from touchard.cli import MAX_JOBS, VerifyConfig, build_parser, cmd_verify, main, resolve_jobs, run_checks
@@ -190,6 +192,8 @@ def test_usage_errors_exit_2(capsys):
     for argv in (
         ["enumerate", "g", "--length", "-1"],
         ["verify", "--max-identity-n", "-2"],
+        ["verify", "--max-roundtrip-len", "2.5"],
+        ["verify", "--format", "json"],
         ["count", "catalan"],
         ["render", "--format", "png", "--word", "UD"],
         ["map", "sideways"],
@@ -319,10 +323,22 @@ def test_verify_output_does_not_depend_on_the_worker_count(capsys, monkeypatch):
 G_3 = [str(word) for word in enumerate_g(3)]
 
 
-@pytest.mark.parametrize("failing", [{3}, {3, 4}])
+def assert_only_failure(capsys, monkeypatch, failing_line, counterexample):
+    """On 1 and on 2 CPUs, ``verify`` to length 4 fails ``failing_line`` alone and names ``counterexample``."""
+    argv = ["verify", "--max-identity-n", "0", "--max-census-n", "0", "--max-roundtrip-len", "4"]
+    for cpus in (1, 2):
+        pin_cpus(monkeypatch, cpus)
+        status, out, err = run(argv, capsys)
+        named = f"counterexample={counterexample}"
+        assert (status, err) == (1, f"verify: first failing check: {failing_line} {named}\n")
+        assert [line for line in out.splitlines() if "ok=false" in line] == [failing_line]
+
+
+@pytest.mark.parametrize("failing", [{8}, {3, 8}])
 def test_verify_names_the_first_failing_word_whatever_its_shard(capsys, monkeypatch, failing):
     # touchard_merge breaks only the round trips of G_3's words at the failing
-    # indices; at 2 jobs, index 3 is in shard 1 and index 4 in shard 0.
+    # indices; at 2 jobs, shard 0 holds indices 0-6 and shard 1 indices 7-13.
+    # The word at the lowest of them is named: GRR (shard 1) or UDR (shard 0).
     from touchard import touchard_merge as real_merge
 
     def faulty_merge(decomposition):
@@ -331,14 +347,65 @@ def test_verify_names_the_first_failing_word_whatever_its_shard(capsys, monkeypa
         return GWord(G_3[0] if broken else str(merged))
 
     monkeypatch.setattr("touchard.cli.touchard_merge", faulty_merge)
-    argv = ["verify", "--max-identity-n", "0", "--max-census-n", "0", "--max-roundtrip-len", "4"]
+    assert (G_3[3], G_3[8]) == ("UDR", "GRR")
     failing_line = "roundtrip=touchard_split n=3 words=14 ok=false"
-    assert G_3[3] == "UDR"
-    for cpus in (1, 2):
-        pin_cpus(monkeypatch, cpus)
-        status, out, err = run(argv, capsys)
-        assert (status, err) == (1, f"verify: first failing check: {failing_line} counterexample=UDR\n")
-        assert [line for line in out.splitlines() if "ok=false" in line] == [failing_line]
+    assert_only_failure(capsys, monkeypatch, failing_line, G_3[min(failing)])
+
+
+def test_verify_names_the_empty_word(capsys, monkeypatch):
+    # The empty word, G_0's only one, is a counterexample like any other; at
+    # 2 jobs shard 0 walks no word of G_0 and shard 1 walks it.
+    from touchard import touchard_merge as real_merge
+
+    def faulty_merge(decomposition):
+        merged = real_merge(decomposition)
+        return GWord("G") if merged.text == "" else merged
+
+    monkeypatch.setattr("touchard.cli.touchard_merge", faulty_merge)
+    assert_only_failure(capsys, monkeypatch, "roundtrip=touchard_split n=0 words=1 ok=false", "")
+
+
+def test_verify_names_a_first_side_failure_before_a_second_side_one(capsys, monkeypatch):
+    # drop_restriction sends only GGUD (restricted_4 word 12: shard 1 of 2) to
+    # GGG.  The second side then fails on GGR (G_3 word 6: shard 0), whose
+    # image is GGUD; the first side's failure is named, whichever shard found it.
+    from touchard import drop_restriction as real_drop
+
+    monkeypatch.setattr("touchard.cli.drop_restriction",
+                        lambda word: GWord("GGG") if word.text == "GGUD" else real_drop(word))
+    assert_only_failure(capsys, monkeypatch, "roundtrip=restriction n=3 words=28 ok=false", "GGUD")
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_roundtrip_shards_walk_every_word_once_in_order(monkeypatch, jobs):
+    # The shards' slices, read in shard order, are each family in enumeration
+    # order, and each shard reports how many words of each side it walked.
+    from touchard import cli
+
+    real_first_failure = cli._first_failure
+    seen = {}
+
+    def recording_first_failure(words, forward, backward, valid):
+        def record(word):
+            seen.setdefault(forward.__name__, []).append(word.text)
+            return forward(word)
+        return real_first_failure(words, record, backward, valid)
+
+    monkeypatch.setattr(cli, "_first_failure", recording_first_failure)
+    for n in range(7):
+        seen.clear()
+        shards = [cli._roundtrip_shard(n, shard, jobs) for shard in range(jobs)]
+        dyck = [str(word) for word in enumerate_dyck(n + 1)]
+        restricted = [str(word) for word in enumerate_g_restricted(n + 1)]
+        grown = [str(word) for word in enumerate_g(n)]
+        assert seen == {"pair_encode": dyck, "pair_decode": restricted, "drop_restriction": restricted,
+                        "raise_restriction": grown, "touchard_split": grown, "motzkin_split": grown}
+        sizes = {"pair": [len(dyck), len(restricted)], "restriction": [len(restricted), len(grown)],
+                 "touchard_split": [len(grown)], "motzkin_split": [len(grown)]}
+        for checks in zip(*shards):  # one check, as each shard reported it
+            walked = zip(*([count for count, _ in reports] for *_, reports in checks))
+            assert [sum(counts) for counts in walked] == sizes[checks[0][0]]
+            assert all(failure is None for *_, reports in checks for _, failure in reports)
 
 
 def test_verify_rejects_images_of_the_wrong_class_or_length_at_2_jobs(monkeypatch):
@@ -523,6 +590,29 @@ def test_sizes_seeds_and_bounds_must_be_ints():
     code = textwrap.dedent(f"""
         from touchard import SplitMix64, enumerate_dyck, enumerate_g, enumerate_g_restricted
         from touchard import enumerate_motzkin, sample_dyck
+        for call in {list(calls)!r}:
+            try:
+                eval(call)
+            except ValueError as exc:
+                print(call, exc)
+    """)
+    expected = "".join(f"{call} {message}\n" for call, message in calls.items())
+    for optimize in (False, True):
+        assert run_python("-c", code, optimize=optimize) == (0, expected, "")
+
+
+def test_verify_config_rejects_bad_bounds_and_formats():
+    # Each would otherwise print text for an unknown format, fail deep in the
+    # sweep, or check nothing and pass; under -O too.
+    calls = {
+        "VerifyConfig(output_format='json')": "output_format must be 'text' or 'ndjson', not 'json'",
+        "VerifyConfig(max_roundtrip_len=2.5)": "max_roundtrip_len must be a non-negative int, not 2.5",
+        "VerifyConfig(-2, -1, -1)": "max_identity_n must be a non-negative int, not -2",
+        "VerifyConfig(3, -1)": "max_census_n must be a non-negative int, not -1",
+        "VerifyConfig(max_identity_n=True)": "max_identity_n must be a non-negative int, not True",
+    }
+    code = textwrap.dedent(f"""
+        from touchard.cli import VerifyConfig
         for call in {list(calls)!r}:
             try:
                 eval(call)
