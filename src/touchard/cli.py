@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -94,18 +95,17 @@ def resolve_jobs() -> int:
     return min(available, MAX_JOBS)
 
 
-def _family(cls: type, texts: Iterable[str]) -> Callable[[Word], bool]:
+def _family(cls: type, texts: set[str]) -> Callable[[Word], bool]:
     """A test for membership in the family of ``texts``: same class and one of those texts."""
-    texts = set(texts)
     return lambda word: word.__class__ is cls and word.text in texts
 
 
 def _first_failure(words: list, forward: Callable, backward: Callable, valid: Callable) -> str | None:
     """The text of the first of ``words`` not sent by ``forward`` to a ``valid`` image that ``backward`` undoes.
 
-    None if every word survives its round trip.  ``valid`` compares each
-    image with the enumerated target family, under ``python -O`` too; a map
-    that raises ValueError fails on that word.
+    None if every word, from a check's first family, survives its round
+    trip.  ``valid`` compares each image with the target family, under
+    ``python -O`` too; a map that raises ValueError fails on that word.
     """
     for word in words:
         try:
@@ -128,40 +128,41 @@ class Check(NamedTuple):
 
 
 def _roundtrip_shard(n: int, shard: int, jobs: int) -> list[tuple]:
-    """The four bijection checks at size n, on the ``shard``-th of ``jobs`` consecutive slices of each side.
+    """The four bijection checks at size n, on the ``shard``-th of ``jobs`` consecutive slices of each first family.
 
-    Each check is (name, target size, per side (how many words this shard
-    walked, the text of its first failure or None)).  The target size is the
-    size of the family the first side maps to; for a split map, the number
-    of decompositions: the identity's right-hand side.  The families are
+    A check walks its first family only: Dyck_{n+1} for ``pair``,
+    restricted_{n+1} for ``restriction``, G_n for the splits.  Each is (name,
+    size of the target family, how many words that family lists, how many
+    words this shard walked, its first failure's text or None); a split's
+    target is its decompositions, which list no word.  A first family's first
+    repeated text, if any, is every shard's failure.  The families are
     enumerated as texts, and only the shard's own texts become words.
     """
     dyck = list(_paths(2 * n + 2, DyckWord._alphabet))
     restricted = list(_paths(n + 1, RestrictedGWord._alphabet, ground_red_ok=False))
     grown = list(_paths(n, GWord._alphabet))
-    is_dyck = _family(DyckWord, dyck)
-    is_restricted = _family(RestrictedGWord, restricted)
-    is_g = _family(GWord, grown)
-    is_dyck_core = _family(DyckWord, chain.from_iterable(
-        _paths(2 * k, DyckWord._alphabet) for k in range(n // 2 + 1)))
-    is_motzkin_core = _family(MotzkinWord, chain.from_iterable(
-        _paths(k, MotzkinWord._alphabet) for k in range(n + 1)))
-    own_dyck, own_restricted, own_grown = (  # this shard's slice of each family, as words
-        list(map(cls._trusted, texts[len(texts) * shard // jobs:len(texts) * (shard + 1) // jobs]))
-        for cls, texts in ((DyckWord, dyck), (RestrictedGWord, restricted), (GWord, grown))
+    restricted_set, grown_set = set(restricted), set(grown)
+    is_dyck_core = _family(DyckWord, set(chain.from_iterable(
+        _paths(2 * k, DyckWord._alphabet) for k in range(n // 2 + 1))))
+    is_motzkin_core = _family(MotzkinWord, set(chain.from_iterable(
+        _paths(k, MotzkinWord._alphabet) for k in range(n + 1))))
+    own_dyck, own_restricted, own_grown = (  # each first family: its first repeated text or None, shard's words
+        (None if len(distinct) == len(texts) else next(text for text, count in Counter(texts).items() if count > 1),
+         list(map(cls._trusted, texts[len(texts) * shard // jobs:len(texts) * (shard + 1) // jobs])))
+        for cls, texts, distinct in (
+            (DyckWord, dyck, set(dyck)), (RestrictedGWord, restricted, restricted_set), (GWord, grown, grown_set))
     )
-    # name, size of the target family, then (shard's words, forward, backward, valid) per side
     return [
-        (name, target_size, [(len(words), _first_failure(words, *maps)) for words, *maps in sides])
-        for name, target_size, *sides in (
-            ("pair", len(restricted), (own_dyck, pair_encode, pair_decode, is_restricted),
-             (own_restricted, pair_decode, pair_encode, is_dyck)),
-            ("restriction", len(grown), (own_restricted, drop_restriction, raise_restriction, is_g),
-             (own_grown, raise_restriction, drop_restriction, is_restricted)),
-            ("touchard_split", touchard_rhs(n).rhs,
-             (own_grown, touchard_split, touchard_merge, lambda d: is_dyck_core(d.core))),
-            ("motzkin_split", motzkin_rhs(n).rhs,
-             (own_grown, motzkin_split, motzkin_merge, lambda d: is_motzkin_core(d.core))),
+        (name, size, listed, len(words), _first_failure(words, *maps) if repeat is None else repeat)
+        for name, size, listed, (repeat, words), *maps in (
+            ("pair", len(restricted), len(restricted), own_dyck, pair_encode, pair_decode,
+             _family(RestrictedGWord, restricted_set)),
+            ("restriction", len(grown), len(grown), own_restricted, drop_restriction, raise_restriction,
+             _family(GWord, grown_set)),
+            ("touchard_split", touchard_rhs(n).rhs, 0, own_grown, touchard_split, touchard_merge,
+             lambda d: is_dyck_core(d.core)),
+            ("motzkin_split", motzkin_rhs(n).rhs, 0, own_grown, motzkin_split, motzkin_merge,
+             lambda d: is_motzkin_core(d.core)),
         )
     ]
 
@@ -169,18 +170,17 @@ def _roundtrip_shard(n: int, shard: int, jobs: int) -> list[tuple]:
 def _roundtrip_checks(n: int, shards: list[list[tuple]]) -> Iterator[Check]:
     """The four bijection checks at size n, merged from the results of its shards, in shard order.
 
-    A side's size is the sum of the words its shards walked.  A check passes
-    when its first side has the target size and every word survives its
-    round trip; its counterexample is the first failure of the first side's
-    slices read in order, else of the second's: the word one shard would name.
+    A check passes when its first family has distinct texts, the target size
+    (its shards' walked words summed) and no failed round trip, which makes
+    the forward map a bijection (see README).  ``words=`` adds the target's
+    listed words; the counterexample is the first failure in shard order.
     """
     for checks in zip(*shards):  # one check, as each shard saw it
-        name, target_size, _ = checks[0]
-        sides = list(zip(*(reports for *_, reports in checks)))  # per side, each shard's (walked, failure)
-        sizes = [sum(walked for walked, _ in side) for side in sides]
-        counterexample = next((text for side in sides for _, text in side if text is not None), None)
-        ok = sizes[0] == target_size and counterexample is None
-        words = sum(sizes)
+        name, target_size, listed, _, _ = checks[0]
+        size = sum(walked for *_, walked, _ in checks)
+        counterexample = next((text for *_, text in checks if text is not None), None)
+        ok = size == target_size and counterexample is None
+        words = size + listed
         record = {"check": "roundtrip", "bijection": name, "n": n, "words": words, "ok": ok}
         if counterexample is not None:
             record["counterexample"] = counterexample

@@ -13,13 +13,21 @@ from pathlib import Path
 import pytest
 
 from touchard import (
+    DyckWord,
     GWord,
+    RestrictedGWord,
     catalan,
     catalan_to_g,
+    drop_restriction,
     enumerate_dyck,
     enumerate_g,
     enumerate_g_restricted,
+    motzkin_split,
+    pair_decode,
+    pair_encode,
+    raise_restriction,
     sample_dyck,
+    touchard_merge,
 )
 from touchard.cli import MAX_JOBS, VerifyConfig, build_parser, cmd_verify, main, resolve_jobs, run_checks
 
@@ -365,10 +373,11 @@ def test_verify_names_the_empty_word(capsys, monkeypatch):
     assert_only_failure(capsys, monkeypatch, "roundtrip=touchard_split n=0 words=1 ok=false", "")
 
 
-def test_verify_names_a_first_side_failure_before_a_second_side_one(capsys, monkeypatch):
+def test_verify_names_a_first_family_word_not_a_target_one(capsys, monkeypatch):
     # drop_restriction sends only GGUD (restricted_4 word 12: shard 1 of 2) to
-    # GGG.  The second side then fails on GGR (G_3 word 6: shard 0), whose
-    # image is GGUD; the first side's failure is named, whichever shard found it.
+    # GGG, so GGUD's round trip fails.  GGR (G_3 word 6: shard 0), whose image
+    # is GGUD, would fail too if it were walked; the check walks restricted_4
+    # alone, whichever shard holds the failure, and names GGUD.
     from touchard import drop_restriction as real_drop
 
     monkeypatch.setattr("touchard.cli.drop_restriction",
@@ -378,8 +387,9 @@ def test_verify_names_a_first_side_failure_before_a_second_side_one(capsys, monk
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_roundtrip_shards_walk_every_word_once_in_order(monkeypatch, jobs):
-    # The shards' slices, read in shard order, are each family in enumeration
-    # order, and each shard reports how many words of each side it walked.
+    # Each check walks its first family alone, through its forward map: the
+    # shards' slices, read in shard order, are that family in enumeration
+    # order, and the words the shards report walking sum to its size.
     from touchard import cli
 
     real_first_failure = cli._first_failure
@@ -398,14 +408,114 @@ def test_roundtrip_shards_walk_every_word_once_in_order(monkeypatch, jobs):
         dyck = [str(word) for word in enumerate_dyck(n + 1)]
         restricted = [str(word) for word in enumerate_g_restricted(n + 1)]
         grown = [str(word) for word in enumerate_g(n)]
-        assert seen == {"pair_encode": dyck, "pair_decode": restricted, "drop_restriction": restricted,
-                        "raise_restriction": grown, "touchard_split": grown, "motzkin_split": grown}
-        sizes = {"pair": [len(dyck), len(restricted)], "restriction": [len(restricted), len(grown)],
-                 "touchard_split": [len(grown)], "motzkin_split": [len(grown)]}
+        assert seen == {"pair_encode": dyck, "drop_restriction": restricted,
+                        "touchard_split": grown, "motzkin_split": grown}
+        assert not {"pair_decode", "raise_restriction"} & seen.keys()  # no backward map is walked forward
+        sizes = {"pair": len(dyck), "restriction": len(restricted),
+                 "touchard_split": len(grown), "motzkin_split": len(grown)}
         for checks in zip(*shards):  # one check, as each shard reported it
-            walked = zip(*([count for count, _ in reports] for *_, reports in checks))
-            assert [sum(counts) for counts in walked] == sizes[checks[0][0]]
-            assert all(failure is None for *_, reports in checks for _, failure in reports)
+            assert sum(walked for *_, walked, _ in checks) == sizes[checks[0][0]]
+            assert all(failure is None for *_, failure in checks)
+
+
+def _raising_on(real, text, on_result=False):
+    """``real``, raising ValueError where its argument (or, with ``on_result``, its result) is the word ``text``."""
+    def fault(argument):
+        result = real(argument)
+        if (result if on_result else argument).text == text:
+            raise ValueError("planted fault")
+        return result
+    return fault
+
+
+ZERO_COLORS_SWAPPED = str.maketrans("GR", "RG")
+
+# A planted fault in one map, by the name verify calls it under.
+ONE_SIDED_FAULTS = {
+    "forward-raises-pair_encode": ("pair_encode", _raising_on(pair_encode, "UUDUDD")),
+    "forward-raises-motzkin_split": ("motzkin_split", _raising_on(motzkin_split, "UGD")),
+    "backward-raises-raise_restriction": ("raise_restriction", _raising_on(raise_restriction, "GR")),
+    "backward-raises-touchard_merge": ("touchard_merge", _raising_on(touchard_merge, "URD", on_result=True)),
+    # the right text as a GWord, not a restricted word
+    "wrong-class-pair_encode": ("pair_encode", lambda word: (
+        GWord(pair_encode(word).text) if word.text == "UUDD" else pair_encode(word))),
+    # drop_restriction("GGG") is the G word GG; here it is the restricted word GG
+    "wrong-class-drop_restriction": ("drop_restriction", lambda word: (
+        RestrictedGWord("GG") if word.text == "GGG" else drop_restriction(word))),
+    # test_verify_detects_injected_fault's fault: a wrong but valid image
+    "wrong-valid-image-drop_restriction": ("drop_restriction", lambda word: (
+        GWord(drop_restriction(word).text.translate(ZERO_COLORS_SWAPPED)))),
+    # wrong on one word of the second family alone: GGG, pair_encode's image of UDUDUD
+    "backward-wrong-on-a-target-word-pair_decode": ("pair_decode", lambda word: (
+        DyckWord("UUUDDD") if word.text == "GGG" else pair_decode(word))),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("fault", ONE_SIDED_FAULTS)
+def test_one_sided_walk_gives_the_two_sided_results(monkeypatch, fault, cpus):
+    # Walking each check from its first family alone gives, fault for fault,
+    # the lines, verdicts and counterexamples of walking both families.
+    import tuple_reference as ref
+    from touchard import cli
+
+    target, faulty = ONE_SIDED_FAULTS[fault]
+    monkeypatch.setattr(cli, target, faulty)
+    pin_cpus(monkeypatch, cpus)
+    config = VerifyConfig(max_identity_n=0, max_census_n=0, max_roundtrip_len=5)
+    checks = [(c.line, c.ok, c.counterexample) for c in run_checks(config) if c.record["check"] == "roundtrip"]
+    maps = {name: getattr(cli, name) for name in ref.ROUNDTRIP_MAPS}
+    assert checks == [check for n in range(6) for check in ref.two_sided_roundtrips(n, maps)]
+    assert not all(ok for _, ok, _ in checks)
+
+
+def _enumerating(monkeypatch, edit):
+    """Make ``verify``'s enumerator pass each list of texts through ``edit(texts, length, alphabet, ground_red_ok)``."""
+    from touchard import cli
+
+    real_paths = cli._paths
+
+    def paths(length, alphabet, ground_red_ok=True):
+        texts = list(real_paths(length, alphabet, ground_red_ok))
+        edit(texts, length, alphabet, ground_red_ok)
+        return iter(texts)
+
+    monkeypatch.setattr(cli, "_paths", paths)
+
+
+def test_verify_fails_a_first_family_with_a_repeated_word(capsys, monkeypatch):
+    # Dyck_4 is listed with its word 2 (shard 0 of 2) again in place of its
+    # word 10 (shard 1).  Every round trip still succeeds and the family
+    # still has the target size, so only its distinct count fails it, and
+    # its repeated word is named.
+    dyck_4 = [str(word) for word in enumerate_dyck(4)]
+
+    def repeat(texts, length, alphabet, ground_red_ok):
+        if (length, alphabet) == (8, "UD"):
+            texts[10] = texts[2]
+
+    _enumerating(monkeypatch, repeat)
+    assert_only_failure(capsys, monkeypatch, "roundtrip=pair n=3 words=28 ok=false", dyck_4[2])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_fails_a_target_family_one_word_short(monkeypatch, cpus):
+    # restricted_4 is listed without its last word, GGGG.  pair's first
+    # family, Dyck_4, is one word larger than its target, and UDUDUDUD, which
+    # pair_encode sends to GGGG, fails its round trip; restriction's first
+    # family is one word smaller than G_3, though each of its words survives.
+    def shorten(texts, length, alphabet, ground_red_ok):
+        if (length, ground_red_ok) == (4, False):
+            texts.remove("GGGG")
+
+    _enumerating(monkeypatch, shorten)
+    pin_cpus(monkeypatch, cpus)
+    config = VerifyConfig(max_identity_n=0, max_census_n=0, max_roundtrip_len=4)
+    failed = [(c.line, c.counterexample) for c in run_checks(config) if not c.ok]
+    assert failed == [
+        ("roundtrip=pair n=3 words=27 ok=false", "UDUDUDUD"),
+        ("roundtrip=restriction n=3 words=27 ok=false", None),
+    ]
 
 
 def test_verify_rejects_images_of_the_wrong_class_or_length_at_2_jobs(monkeypatch):

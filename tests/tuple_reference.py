@@ -7,14 +7,19 @@ text; the tests compare its fast paths with these slow, plain versions
 the package's validators, enumerators or maps, and ``Letter`` is this
 module's own, so the oracle does not lean on the package's letter view.
 ``successor_paths`` keeps the text enumerator's earlier, successor-only
-form, the reference for its table of completions.
+form, the reference for its table of completions.  The one exception,
+``two_sided_roundtrips``, keeps ``verify``'s earlier walk of its bijection
+checks from both families: it calls the maps it is given (planted faults
+included) on words of the package's classes, built from this module's
+enumerations.
 """
 
+import math
 import re
 from enum import Enum
 
-from touchard import BadAlphabet, InvalidDecomposition, NegativePrefix, NotBalanced
-from touchard import RedZeroAtGroundLevel, WordError
+from touchard import BadAlphabet, DyckWord, GWord, InvalidDecomposition, MotzkinWord, NegativePrefix
+from touchard import NotBalanced, RedZeroAtGroundLevel, RestrictedGWord, WordError
 
 
 class Letter(Enum):
@@ -361,3 +366,65 @@ def sample_dyck(n, seed):
         if height <= low:
             low, cut = height, i
     return text(steps[cut:] + steps[:cut])[1:]
+
+
+ROUNDTRIP_MAPS = (
+    "pair_encode", "pair_decode", "drop_restriction", "raise_restriction",
+    "touchard_split", "touchard_merge", "motzkin_split", "motzkin_merge",
+)
+
+
+def two_sided_roundtrips(n, maps):
+    """``verify``'s four bijection checks at size n, each family walked in turn: (line, ok, counterexample) each.
+
+    ``verify`` walks each check from its first family only; this is the walk
+    it replaced, from both families where both are enumerated.  ``maps``
+    holds the package's eight maps by name.  A word passes when its image is
+    in the other family (same class, one of its texts; for a split, the
+    core's) and the other map gives the word back; a map that raises
+    ValueError fails it.  A check passes when its first family has the
+    target size and every word passes; the counterexample is the first
+    failing word, first family first.
+    """
+    family = {
+        "dyck": [text(letters) for letters in paths(2 * n + 2, DYCK_ALPHABET)],
+        "grestricted": [text(letters) for letters in paths(n + 1, G_ALPHABET, ground_red_ok=False)],
+        "g": [text(letters) for letters in paths(n, G_ALPHABET)],
+    }
+    classes = {"dyck": DyckWord, "grestricted": RestrictedGWord, "g": GWord}
+
+    def member(cls, texts):
+        texts = set(texts)
+        return lambda word: type(word) is cls and word.text in texts
+
+    in_dyck, in_restricted, in_g = (member(classes[name], family[name]) for name in ("dyck", "grestricted", "g"))
+    in_dyck_cores = member(DyckWord, (
+        text(letters) for k in range(n // 2 + 1) for letters in paths(2 * k, DYCK_ALPHABET)))
+    in_motzkin_cores = member(MotzkinWord, (
+        text(letters) for k in range(n + 1) for letters in paths(k, MOTZKIN_ALPHABET)))
+    catalan = math.comb(2 * n + 2, n + 1) // (n + 2)  # both identities' right-hand side, C_{n+1}
+    checks = (
+        ("pair", [("dyck", "pair_encode", "pair_decode", in_restricted),
+                  ("grestricted", "pair_decode", "pair_encode", in_dyck)]),
+        ("restriction", [("grestricted", "drop_restriction", "raise_restriction", in_g),
+                         ("g", "raise_restriction", "drop_restriction", in_restricted)]),
+        ("touchard_split", [("g", "touchard_split", "touchard_merge", lambda split: in_dyck_cores(split.core))]),
+        ("motzkin_split", [("g", "motzkin_split", "motzkin_merge", lambda split: in_motzkin_cores(split.core))]),
+    )
+    results = []
+    for name, sides in checks:
+        walked, counterexample = 0, None
+        for source, forward, backward, valid in sides:
+            for word_text in family[source]:
+                word = classes[source](word_text)
+                walked += 1
+                try:
+                    image = maps[forward](word)
+                    passed = valid(image) and maps[backward](image) == word
+                except ValueError:
+                    passed = False
+                if not passed and counterexample is None:
+                    counterexample = word_text
+        ok = len(family[sides[0][0]]) == catalan and counterexample is None
+        results.append((f"roundtrip={name} n={n} words={walked} ok={'true' if ok else 'false'}", ok, counterexample))
+    return results
