@@ -37,7 +37,7 @@ from .bijections import (
     touchard_merge,
     touchard_split,
 )
-from .counting import catalan, motzkin_count, motzkin_rhs, touchard_rhs
+from .counting import catalan, g_census, motzkin_count, motzkin_rhs, touchard_rhs
 from .render import render_ascii, render_svg, to_drawing
 from .words import (
     DyckWord,
@@ -47,10 +47,6 @@ from .words import (
     Word,
     _paths,
     _size,
-    enumerate_dyck,
-    enumerate_g,
-    enumerate_g_restricted,
-    enumerate_motzkin,
     sample_dyck,
     validate_dyck,
     validate_g,
@@ -188,57 +184,50 @@ def _roundtrip_checks(n: int, shards: list[list[tuple]]) -> Iterator[Check]:
         yield Check(ok, line, record, counterexample)
 
 
-def _census_checks(n: int) -> list[Check]:
-    """Both census checks at n: how many words of G_n split to each core size, against each identity's terms."""
-    by_updown = [0] * (n // 2 + 1)
-    by_core_len = [0] * (n + 1)
-    for u in enumerate_g(n):
-        by_updown[touchard_split(u).core.semilength] += 1
-        by_core_len[len(motzkin_split(u).core)] += 1
+def _census_checks(max_n: int) -> list[Check]:
+    """Both census checks for each n <= max_n: G_n's words by up-steps and by red zeros, against the identities' terms.
+
+    The counts come from ``g_census``'s tables, not from enumerated words or
+    splits: k up-steps put a word under Touchard's term k, r red zeros under
+    Motzkin's term n - r.  The split round trips force those to be the core
+    sizes (see README).
+    """
     checks = []
-    for which, counts, report in (
-        ("touchard", by_updown, touchard_rhs(n)),
-        ("motzkin", by_core_len, motzkin_rhs(n)),
-    ):
-        expected = list(report.per_k_terms)
-        ok = counts == expected
-        line = "census={} n={} counts={} terms={} ok={}".format(
-            which, n, ",".join(map(str, counts)), ",".join(map(str, expected)), "true" if ok else "false"
-        )
-        checks.append(Check(ok, line, {
-            "check": "census", "identity": which, "n": n, "counts": counts, "terms": expected, "ok": ok
-        }))
+    for n, ups, reds in zip(range(max_n + 1), g_census(max_n, "U"), g_census(max_n, "R")):
+        for which, counts, report in (("touchard", ups, touchard_rhs(n)), ("motzkin", reds[::-1], motzkin_rhs(n))):
+            expected = list(report.per_k_terms)
+            ok = counts == expected
+            line = "census={} n={} counts={} terms={} ok={}".format(
+                which, n, ",".join(map(str, counts)), ",".join(map(str, expected)), "true" if ok else "false"
+            )
+            checks.append(Check(ok, line, {
+                "check": "census", "identity": which, "n": n, "counts": counts, "terms": expected, "ok": ok
+            }))
     return checks
 
 
-def _run_task(task: tuple) -> object:
-    """One task of ``run_checks``: a function of this module applied to its arguments."""
-    function, *args = task
-    return function(*args)
-
-
 @contextmanager
-def _task_results(tasks: list[tuple], jobs: int) -> Iterator[Iterator]:
-    """The results of ``tasks`` in order, from ``jobs`` worker processes or, for one job, from this one.
+def _shard_results(sizes: range, jobs: int) -> Iterator[Iterator[list]]:
+    """For each round-trip size in ``sizes``, the results of its ``jobs`` shards, from ``jobs`` worker processes.
 
-    Worker w runs tasks w, w + jobs, w + 2·jobs, ... in order and sends each
-    result through its own pipe.  Workers are forked, so they run this
-    process's module state as it is, replaced functions included.  A task's
-    exception is raised here; a worker that dies (killed, out of memory)
-    raises ChildProcessError.  The workers are stopped when the block is
-    left, whether or not every result was read.
+    One job runs them in this process.  Worker w runs shard w of each size
+    in order and sends each result through its own pipe.  Workers are
+    forked, so they run this process's module state as it is, replaced
+    functions included.  A shard's exception is raised here; a worker that
+    dies (killed, out of memory) raises ChildProcessError.  The workers are
+    stopped when the block is left, whether or not every result was read.
     """
     if jobs == 1:
-        yield map(_run_task, tasks)
+        yield ([_roundtrip_shard(n, 0, 1)] for n in sizes)
         return
     import multiprocessing  # here, not at the top: it adds about 20 ms to start-up
     import signal
 
-    def work(share: list[tuple], sender) -> None:
+    def work(shard: int, sender) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches this process, which stops the workers
-        for task in share:
+        for n in sizes:
             try:
-                sender.send((True, _run_task(task)))
+                sender.send((True, _roundtrip_shard(n, shard, jobs)))
             except BaseException as exc:
                 sender.send((False, exc))
                 return
@@ -246,11 +235,10 @@ def _task_results(tasks: list[tuple], jobs: int) -> Iterator[Iterator]:
     context = multiprocessing.get_context("fork")
     workers, receivers = [], []
 
-    def result(index: int) -> object:
+    def result(worker, receiver) -> list[tuple]:
         try:
-            ok, value = receivers[index % jobs].recv()
+            ok, value = receiver.recv()
         except EOFError:  # the worker's end of the pipe closed without a result
-            worker = workers[index % jobs]
             worker.join()
             raise ChildProcessError(f"a verify worker stopped with exit status {worker.exitcode}") from None
         if not ok:
@@ -260,11 +248,11 @@ def _task_results(tasks: list[tuple], jobs: int) -> Iterator[Iterator]:
     try:
         for w in range(jobs):
             receiver, sender = context.Pipe(duplex=False)
-            workers.append(context.Process(target=work, args=(tasks[w::jobs], sender), daemon=True))
+            workers.append(context.Process(target=work, args=(w, sender), daemon=True))
             receivers.append(receiver)
             workers[w].start()
             sender.close()  # the worker holds the only write end, so its death ends the pipe
-        yield map(result, range(len(tasks)))
+        yield (list(map(result, workers, receivers)) for _ in sizes)
     finally:
         for worker in workers:
             worker.terminate()
@@ -274,29 +262,25 @@ def _task_results(tasks: list[tuple], jobs: int) -> Iterator[Iterator]:
 def run_checks(cfg: VerifyConfig) -> Iterator[Check]:
     """Identity checks, exhaustive bijection checks, and stratified censuses, in that order.
 
-    The identities are checked here.  Each round-trip size is split into one
-    shard of consecutive words per worker and each census is one task; the
-    tasks run in ``resolve_jobs()`` worker processes while the identities are
-    checked, and their results are merged in order (a size's walked counts
-    summed, its failures read in shard order), so the checks do not depend on
-    the worker count.  Close the generator to stop the workers early.
+    Each round-trip size is split into one shard of consecutive words per
+    worker; the shards run in ``resolve_jobs()`` worker processes while
+    this process checks the identities and counts the censuses from tables,
+    and their results are merged in order (a size's walked counts summed,
+    its failures read in shard order), so the checks do not depend on the
+    worker count.  Close the generator to stop the workers early.
     """
-    jobs = resolve_jobs()
     roundtrip_sizes = range(cfg.max_roundtrip_len + 1)
-    census_sizes = range(cfg.max_census_n + 1)
-    tasks = [(_roundtrip_shard, n, shard, jobs) for n in roundtrip_sizes for shard in range(jobs)]
-    tasks += [(_census_checks, n) for n in census_sizes]
-    with _task_results(tasks, jobs) as results:
+    with _shard_results(roundtrip_sizes, resolve_jobs()) as results:
         for n in range(cfg.max_identity_n + 1):
             for which, report in (("touchard", touchard_rhs(n)), ("motzkin", motzkin_rhs(n))):
                 yield Check(report.holds, f"identity={which} {report.format_line()}", {
                     "check": "identity", "identity": which, "n": n, "lhs": report.lhs, "rhs": report.rhs,
                     "holds": report.holds, "terms": list(report.per_k_terms), "ok": report.holds,
                 })
-        for n in roundtrip_sizes:
-            yield from _roundtrip_checks(n, [next(results) for _ in range(jobs)])
-        for _ in census_sizes:
-            yield from next(results)
+        censuses = _census_checks(cfg.max_census_n)
+        for n, shards in zip(roundtrip_sizes, results):
+            yield from _roundtrip_checks(n, shards)
+        yield from censuses
 
 
 def cmd_verify(cfg: VerifyConfig, out: IO[str], err: IO[str]) -> int:
@@ -352,22 +336,27 @@ def cmd_map(direction: str, lines: Iterable[str], out: IO[str], err: IO[str]) ->
     return status
 
 
-_ENUMERATORS = {
-    "dyck": enumerate_dyck,
-    "g": enumerate_g,
-    "grestricted": enumerate_g_restricted,
-    "motzkin": enumerate_motzkin,
+_ENUMERATED = {  # each family's words as texts, for its --length (for dyck, the semilength)
+    "dyck": lambda n: _paths(2 * n, DyckWord._alphabet),
+    "g": lambda n: _paths(n, GWord._alphabet),
+    "grestricted": lambda n: _paths(n, RestrictedGWord._alphabet, ground_red_ok=False) if n else iter(()),
+    "motzkin": lambda n: _paths(n, MotzkinWord._alphabet),
 }
 
 
 def cmd_enumerate(kind: str, length: int, count_only: bool, out: IO[str]) -> int:
-    """List every word of the family (for dyck, ``length`` is the semilength)."""
-    stream = _ENUMERATORS[kind](length)
+    """List every word of the family (for dyck, ``length`` is the semilength).
+
+    The lines are the enumerator's texts, written as they come: no word
+    object is made, and restricted words of length 0 list nothing.
+    """
+    _size(length, "semilength" if kind == "dyck" else "length")
+    texts = _ENUMERATED[kind](length)
     if count_only:
-        out.write(f"{sum(1 for _ in stream)}\n")
+        out.write(f"{sum(1 for _ in texts)}\n")
     else:
-        for word in stream:
-            out.write(f"{word}\n")
+        for text in texts:
+            out.write(text + "\n")
     return 0
 
 
@@ -459,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     ))
 
     p = sub.add_parser("enumerate", help="list all words of a family")
-    p.add_argument("kind", choices=tuple(_ENUMERATORS))
+    p.add_argument("kind", choices=tuple(_ENUMERATED))
     p.add_argument("--length", type=_nonneg, required=True,
                    help="word length (semilength for dyck)")
     p.add_argument("--count-only", action="store_true")

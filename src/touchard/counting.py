@@ -14,14 +14,19 @@ before it by a product of small integers and one exact division:
     s_0 = 1, s_{-1} = 0,  k(k+2) s_k = (2k+1)(n-k+1) s_{k-1} + 3(n-k+1)(n-k+2) s_{k-2}
 
 Each division is exact because its quotient is the next summand, an
-integer.  Everything here is exact integer arithmetic; no tolerances apply.
+integer.  ``g_census`` counts the same summands a second way, as the
+words of G_n with each number of up-steps or of red zeros, from a table
+of prefix counts.  Everything here is exact integer arithmetic; no
+tolerances apply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb
+from typing import Iterator
 
 
 def binomial(n: int, k: int) -> int:
@@ -123,3 +128,31 @@ def motzkin_rhs(n: int) -> IdentityReport:
         ) // (k * (k + 2))
         terms.append(term)
     return IdentityReport(n, catalan(n + 1), terms)
+
+
+_G_LETTERS = (("U", 1), ("G", 0), ("R", 0), ("D", -1))  # each G-word letter and its step in height
+
+
+def g_census(max_n: int, counted: str) -> Iterator[list[int]]:
+    """For n = 0, 1, ..., max_n: how many words of G_n hold c letters ``counted``, for c = 0, 1, ...
+
+    Counts G-word prefixes one letter at a time: rows[h][c] prefixes end at
+    height h with c letters ``counted``, and each letter moves a prefix by
+    its step, never below 0.  The height-0 row after n letters counts G_n,
+    so one pass yields every n; heights that cannot return to 0 within
+    max_n letters are dropped.  A row ends at its last nonzero count: for
+    ``"U"`` the touchard_rhs terms (k up-steps, term k), for ``"R"`` the
+    motzkin_rhs terms reversed (r red zeros, term n - r).
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be non-negative")
+    rows = [[1]]  # the empty prefix
+    yield rows[0]
+    for length in range(1, max_n + 1):
+        incoming = [[] for _ in range(min(length, max_n - length) + 1)]  # per height, the rows moved there
+        for h, row in enumerate(rows):
+            for letter, step in _G_LETTERS:
+                if 0 <= h + step < len(incoming):
+                    incoming[h + step].append([0, *row] if letter == counted else row)
+        rows = [[sum(column) for column in zip_longest(*moved, fillvalue=0)] for moved in incoming]
+        yield rows[0]

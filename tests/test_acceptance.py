@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from touchard import (
+    GWord,
     MotzkinDecomposition,
     RestrictedGWord,
     TouchardDecomposition,
@@ -27,11 +28,13 @@ from touchard import (
     motzkin_count,
     motzkin_merge,
     motzkin_rhs,
+    motzkin_split,
     render_svg,
     sample_dyck,
     to_drawing,
     touchard_merge,
     touchard_rhs,
+    touchard_split,
 )
 from touchard.cli import VerifyConfig, run_checks
 
@@ -246,3 +249,50 @@ def test_planted_faults_give_the_same_records_at_any_job_count(monkeypatch):
             one, two = (catalogue("roundtrip", max_roundtrip_len=4, cpus=cpus) for cpus in (1, 2))
         assert any(not check.ok for check in one), target
         assert one == two, target
+
+
+# --- the census trusts that round trips force core sizes --------------------
+
+
+def _touchard_split_dropping_a_pair(word):
+    """The split of ``word`` with its last up-step and the down-step after it read as green zeros."""
+    text = word.text
+    up = text.rfind("U")
+    if up >= 0:
+        down = text.index("D", up)
+        text = text[:up] + "G" + text[up + 1 : down] + "G" + text[down + 1 :]
+    return touchard_split(GWord(text))
+
+
+def _motzkin_split_dropping_a_red(word):
+    """The split of ``word`` with its first red zero read as a green one."""
+    return motzkin_split(GWord(word.text.replace("R", "G", 1)))
+
+
+CORE_SIZE_FAULTS = {
+    # each split, a fault that gives it a core of the wrong size, and the letter whose words it changes
+    "touchard_split": (_touchard_split_dropping_a_pair, "U"),
+    "motzkin_split": (_motzkin_split_dropping_a_red, "R"),
+}
+
+
+@pytest.mark.parametrize("name", CORE_SIZE_FAULTS)
+def test_round_trips_force_core_sizes(monkeypatch, name):
+    # verify's census counts letters, not split cores: it relies on the round
+    # trips to fail a split whose core is not as long as the word's up/down
+    # letters (Touchard) or its letters other than red zeros (Motzkin).  Each
+    # fault returns a valid decomposition, so only its round trip can fail it.
+    fault, letter = CORE_SIZE_FAULTS[name]
+    real_split = touchard_split if name == "touchard_split" else motzkin_split
+    for cpus in (1, 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(f"touchard.cli.{name}", fault)
+            checks = catalogue("roundtrip", max_roundtrip_len=4, cpus=cpus)
+        assert all(check.ok for check in checks if check.record["bijection"] != name)
+        for check in (check for check in checks if check.record["bijection"] == name):
+            first = next((u for u in enumerate_g(check.record["n"]) if letter in u.text), None)
+            assert check.ok is check.record["ok"] is (first is None)
+            assert check.counterexample == (None if first is None else first.text)
+            if first is not None:
+                assert check.record["counterexample"] == first.text
+                assert len(fault(first).core) != len(real_split(first).core)

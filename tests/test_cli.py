@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, and stream composition."""
 
+import inspect
 import io
 import json
 import os
@@ -326,6 +327,32 @@ def test_verify_output_does_not_depend_on_the_worker_count(capsys, monkeypatch):
         two = run(argv + ["--format", fmt], capsys)
         assert one == two
         assert one[0] == 0 and len(one[1].splitlines()) == 402 + 4 * 8 + 2 * 8
+
+
+# Faults planted in the census table's source: each is (its text, the faulty text).
+TABLE_FAULTS = {
+    # A prefix at height 0 may take a down-step (it lands on the top height).
+    "down-step at height 0": ("if 0 <= h + step < len(incoming):", "if h + step < len(incoming):"),
+    "red zero counted as an up-step": ("if letter == counted else row", 'if letter in (counted, "R") else row'),
+}
+
+
+@pytest.mark.parametrize("fault", TABLE_FAULTS)
+def test_verify_fails_a_census_counted_from_a_faulty_table(capsys, monkeypatch, fault):
+    from touchard import cli, counting
+
+    text, faulty = TABLE_FAULTS[fault]
+    source = inspect.getsource(counting.g_census)
+    assert source.count(text) == 1
+    namespace = dict(vars(counting))
+    exec(compile(source.replace(text, faulty), counting.__file__, "exec"), namespace)
+    monkeypatch.setattr(cli, "g_census", namespace["g_census"])
+    status, out, err = run(["verify", "--max-identity-n", "0", "--max-census-n", "6", "--max-roundtrip-len", "0"],
+                           capsys)
+    failed = [line for line in out.splitlines() if line.endswith(" ok=false")]
+    assert status == 1
+    assert failed and all(line.startswith("census=") for line in failed)
+    assert err == f"verify: first failing check: {failed[0]}\n"
 
 
 G_3 = [str(word) for word in enumerate_g(3)]
@@ -835,25 +862,26 @@ def test_unexpected_exception_in_a_worker_is_the_same_error_line():
 
 
 def test_verify_fails_when_a_worker_dies():
-    # The worker that takes census 5 (odd tasks: the second of two) kills
-    # itself there, as an out-of-memory kill would; the first one finishes.
+    # The worker that takes the second half of G_5, which holds every word of
+    # G_5 that starts with R, kills itself in the first split of such a word,
+    # as an out-of-memory kill would; the first one finishes.
     code = PIN_TWO_CPUS + textwrap.dedent("""
         import multiprocessing, signal, sys
         import touchard.cli as cli
         from touchard import touchard_split
 
         def dying(word):
-            if len(word) == 5:
+            if len(word) == 5 and word.text.startswith("R"):
                 os.kill(os.getpid(), signal.SIGKILL)
             return touchard_split(word)
 
         cli.touchard_split = dying
         status = cli.main(["verify", "--max-identity-n", "0", "--max-census-n", "5",
-                           "--max-roundtrip-len", "3"])
+                           "--max-roundtrip-len", "5"])
         sys.exit(status if not multiprocessing.active_children() else 3)
     """)
     status, out, err = run_python("-c", code)
     assert (status, err) == (1, "error: unexpected ChildProcessError: a verify worker stopped with exit status -9\n")
     lines = out.splitlines()
-    assert len(lines) == 2 + 4 * 4 + 2 * 5
-    assert lines[-1].startswith("census=motzkin n=4 ")
+    assert len(lines) == 2 + 4 * 5
+    assert lines[-1].startswith("roundtrip=motzkin_split n=4 ")

@@ -1,6 +1,7 @@
 """Catalan/Motzkin/binomial numbers and the two identity evaluators."""
 
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
@@ -16,6 +17,7 @@ from touchard import (
     motzkin_rhs,
     touchard_rhs,
 )
+from touchard.counting import g_census
 
 
 def segner(limit):
@@ -201,6 +203,30 @@ def test_terms_match_exhaustive_census():
         assert tuple(by_updown) == touchard_rhs(n).per_k_terms
         # motzkin term k counts words with n-k red zeros
         assert tuple(by_reds[n - k] for k in range(n + 1)) == motzkin_rhs(n).per_k_terms
+
+
+def test_g_census_counts_g_words_by_each_letter():
+    # The table's rows against the enumerated words, for every letter.
+    for letter in "UGRD":
+        rows = list(g_census(7, letter))
+        assert len(rows) == 8
+        for n, row in enumerate(rows):
+            counts = Counter(word.text.count(letter) for word in enumerate_g(n))
+            assert row == [counts[c] for c in range(max(counts) + 1)]
+
+
+def test_g_census_rows_are_the_identity_terms_to_200():
+    ups, reds = (list(g_census(200, letter)) for letter in "UR")
+    for n in range(201):
+        assert tuple(ups[n]) == touchard_rhs(n).per_k_terms
+        assert tuple(reversed(reds[n])) == motzkin_rhs(n).per_k_terms
+    # a shorter pass gives the same rows
+    assert list(g_census(9, "U")) == ups[:10]
+
+
+def test_g_census_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="max_n must be non-negative"):
+        next(g_census(-1, "U"))
 
 
 def test_rhs_reject_negative():
