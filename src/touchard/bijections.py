@@ -27,18 +27,22 @@ decompositions class by class yields
 All maps are pure and work on the words' text.  Each checks the class of
 its input: a word of another family raises WordError, and a merge given
 anything but its own decomposition type raises InvalidDecomposition.
-They build their outputs through the trusted constructor of ``words``
-without re-checking them: each docstring gives the reason the output is
-valid, and ``touchard verify`` checks it on every word up to its bound.
-Decompositions check their structure, core class included, whenever
-they are built.  Position indices in decompositions and in their line
-formats are 1-based.
+They build their outputs through the trusted constructors of ``words``
+and of the decompositions without re-checking them: each docstring gives
+the reason the output is valid, and ``touchard verify`` checks it on
+every word up to its bound, a split's structure included.  The public
+decomposition constructors and the ``parse_*_decomposition`` functions
+check the structure, core class included, whatever Python's ``-O``
+setting; ``_touchard_fault`` and ``_motzkin_fault`` are those checks, and
+``verify`` runs the same ones on each split it walks.  Position indices
+in decompositions and in their line formats are 1-based.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
 from operator import add, ge
 from typing import Iterable
 
@@ -157,21 +161,62 @@ _INT_ONLY = frozenset((int,))
 _BOOL_ONLY = frozenset((bool,))
 
 
-def _check_slots(positions: tuple[int, ...], n: int, name: str) -> None:
-    """Raise InvalidDecomposition unless ``positions`` are ints increasing strictly within 1..n.
+def _slots_fault(positions: tuple, n: int, name: str) -> str | None:
+    """Why ``positions`` are not ints increasing strictly within 1..n, or None if they are.
 
     A position of another type (``bool`` included) is reported first, then an
     out-of-range position, then a misordered one.
     """
     if not positions:
-        return
+        return None
     if not _INT_ONLY.issuperset(map(type, positions)):
-        raise InvalidDecomposition(f"{name} must be ints")
+        return f"{name} must be ints"
     if positions[0] >= 1 and positions[-1] <= n and not any(map(ge, positions, positions[1:])):
-        return
+        return None
     if min(positions) < 1 or max(positions) > n:
-        raise InvalidDecomposition(f"{name} must lie in 1..{n}")
-    raise InvalidDecomposition(f"{name} must be strictly increasing")
+        return f"{name} must lie in 1..{n}"
+    return f"{name} must be strictly increasing"
+
+
+def _touchard_fault(n: int, positions: tuple, core: DyckWord, colors: tuple) -> str | None:
+    """Why these fields do not form a ``TouchardDecomposition``, or None if they do.
+
+    The core must be a DyckWord; positions and colors tuples; colors bools;
+    positions one per core letter; n the number of slots, len(positions) +
+    len(colors); and positions ints increasing strictly within 1..n.  The
+    first fault found, in that order, is the one named.
+    """
+    if not isinstance(core, DyckWord):
+        return f"the core must be a DyckWord, not a {type(core).__name__}"
+    if positions.__class__ is not tuple or colors.__class__ is not tuple:
+        return "positions and colors must be tuples"
+    if not _BOOL_ONLY.issuperset(map(type, colors)):
+        return "colors must be bools"
+    if len(positions) != len(core.text):
+        return "positions must hold one slot per core letter"
+    if n != len(positions) + len(colors):
+        return f"n must be {len(positions) + len(colors)}, the number of slots, not {n!r}"
+    return _slots_fault(positions, n, "positions")
+
+
+def _motzkin_fault(n: int, red_positions: tuple, core: MotzkinWord) -> str | None:
+    """Why these fields do not form a ``MotzkinDecomposition``, or None if they do.
+
+    The core must be a MotzkinWord; red positions a tuple; n the number of
+    slots, len(red_positions) + len(core); and red positions ints
+    increasing strictly within 1..n.  The first fault found, in that order,
+    is the one named.
+    """
+    if not isinstance(core, MotzkinWord):
+        return f"the core must be a MotzkinWord, not a {type(core).__name__}"
+    if red_positions.__class__ is not tuple:
+        return "red positions must be a tuple"
+    if n != len(red_positions) + len(core.text):
+        return f"n must be {len(red_positions) + len(core.text)}, the number of slots, not {n!r}"
+    return _slots_fault(red_positions, n, "red positions")
+
+
+_new = object.__new__
 
 
 @dataclass(frozen=True, init=False)
@@ -193,16 +238,19 @@ class TouchardDecomposition:
     def __init__(self, positions: Iterable[int], core: DyckWord, colors: Iterable[bool]) -> None:
         positions = tuple(positions)
         colors = tuple(colors)
-        if not isinstance(core, DyckWord):
-            raise InvalidDecomposition(f"the core must be a DyckWord, not a {type(core).__name__}")
-        if not _BOOL_ONLY.issuperset(map(type, colors)):
-            raise InvalidDecomposition("colors must be bools")
-        if len(positions) != len(core):
-            raise InvalidDecomposition("positions must hold one slot per core letter")
         n = len(positions) + len(colors)
-        _check_slots(positions, n, "positions")
+        fault = _touchard_fault(n, positions, core, colors)
+        if fault is not None:
+            raise InvalidDecomposition(fault)
         # One write past the frozen __setattr__, instead of one call per field.
         self.__dict__.update(n=n, positions=positions, core=core, colors=colors)
+
+    @classmethod
+    def _trusted(cls, n: int, positions: tuple[int, ...], core: DyckWord, colors: tuple[bool, ...]):
+        """A decomposition from fields the caller guarantees ``_touchard_fault`` passes."""
+        decomposition = _new(cls)
+        decomposition.__dict__.update(n=n, positions=positions, core=core, colors=colors)
+        return decomposition
 
 
 @dataclass(frozen=True, init=False)
@@ -222,26 +270,48 @@ class MotzkinDecomposition:
 
     def __init__(self, red_positions: Iterable[int], core: MotzkinWord) -> None:
         red_positions = tuple(red_positions)
-        if not isinstance(core, MotzkinWord):
-            raise InvalidDecomposition(f"the core must be a MotzkinWord, not a {type(core).__name__}")
-        n = len(red_positions) + len(core)
-        _check_slots(red_positions, n, "red positions")
+        # A core of another type is the fault named, before n is compared.
+        n = len(red_positions) + len(core.text) if isinstance(core, MotzkinWord) else None
+        fault = _motzkin_fault(n, red_positions, core)
+        if fault is not None:
+            raise InvalidDecomposition(fault)
         self.__dict__.update(n=n, red_positions=red_positions, core=core)
+
+    @classmethod
+    def _trusted(cls, n: int, red_positions: tuple[int, ...], core: MotzkinWord):
+        """A decomposition from fields the caller guarantees ``_motzkin_fault`` passes."""
+        decomposition = _new(cls)
+        decomposition.__dict__.update(n=n, red_positions=red_positions, core=core)
+        return decomposition
+
+
+# Tables over a G-word's encoded text.  The flags are 1 at an up/down letter
+# (Touchard) or a red zero (Motzkin) and 0 at any other letter: the selectors
+# of ``compress`` over the word's slots.
+_STEP_FLAGS = bytes.maketrans(b"UDGR", b"\x01\x01\x00\x00")
+_RED_FLAGS = bytes.maketrans(b"UDGR", b"\x00\x00\x00\x01")
+_ZERO_COLORS = bytes.maketrans(b"GR", b"\x00\x01")  # with U and D deleted: one color per zero
+_ZEROS_OF_COLORS = bytes.maketrans(b"\x00\x01", b"GR")
+_GREEN_TO_FLAT = bytes.maketrans(b"G", b"H")  # with R deleted: the Motzkin core
+_MOTZKIN_TO_G = str.maketrans("H", "G")
 
 
 def touchard_split(word: GWord) -> TouchardDecomposition:
     """Extract the up/down support, the Dyck core, and the zero colors.
 
     The core is a Dyck word: dropping zeros keeps the sequence of prefix
-    sums at the remaining letters.
+    sums at the remaining letters.  The positions are increasing slots of
+    the word, one per core letter, and the colors bools, one per other slot.
     """
     if not isinstance(word, GWord):
         raise _wrong_input(GWord, word)
-    text = word.text
-    return TouchardDecomposition(
-        tuple([i for i, ch in enumerate(text, start=1) if ch in "UD"]),
-        DyckWord._trusted(text.translate(_ZEROS_DELETED)),
-        tuple(map("R".__eq__, text.translate(_STEPS_DELETED))),
+    letters = word.text.encode()
+    n = len(letters)
+    return TouchardDecomposition._trusted(
+        n,
+        tuple(compress(range(1, n + 1), letters.translate(_STEP_FLAGS))),
+        DyckWord._trusted(letters.translate(None, b"GR").decode()),
+        tuple(map(bool, letters.translate(_ZERO_COLORS, b"UD"))),
     )
 
 
@@ -253,33 +323,32 @@ def touchard_merge(decomposition: TouchardDecomposition) -> GWord:
     """
     if not isinstance(decomposition, TouchardDecomposition):
         raise _wrong_input(TouchardDecomposition, decomposition, InvalidDecomposition)
-    steps = iter(decomposition.core.text)
-    zeros = iter([_ZERO_OF_COLOR[red] for red in decomposition.colors])
-    slots = set(decomposition.positions)
-    return GWord._trusted(
-        "".join([next(steps) if i in slots else next(zeros) for i in range(1, decomposition.n + 1)])
-    )
-
-
-_ZEROS_DELETED = str.maketrans("", "", "GR")
-_STEPS_DELETED = str.maketrans("", "", "UD")
-_ZERO_OF_COLOR = {False: "G", True: "R"}
-_G_TO_MOTZKIN = str.maketrans({"R": None, "G": "H"})
-_MOTZKIN_TO_G = str.maketrans("H", "G")
+    zeros = bytes(decomposition.colors).translate(_ZEROS_OF_COLORS).decode()
+    parts = []
+    start = 0
+    for i, (position, step) in enumerate(zip(decomposition.positions, decomposition.core.text)):
+        stop = position - 1 - i  # the zeros before this slot
+        parts += zeros[start:stop], step
+        start = stop
+    parts.append(zeros[start:])
+    return GWord._trusted("".join(parts))
 
 
 def motzkin_split(word: GWord) -> MotzkinDecomposition:
     """Record the red-zero slots and read the rest as a Motzkin word.
 
     Deleting red zeros keeps the prefix sums at the other letters, so
-    the core is a Motzkin word.
+    the core is a Motzkin word.  The red positions are increasing slots of
+    the word, one per letter the core lacks.
     """
     if not isinstance(word, GWord):
         raise _wrong_input(GWord, word)
-    text = word.text
-    return MotzkinDecomposition(
-        tuple([i for i, ch in enumerate(text, start=1) if ch == "R"]),
-        MotzkinWord._trusted(text.translate(_G_TO_MOTZKIN)),
+    letters = word.text.encode()
+    n = len(letters)
+    return MotzkinDecomposition._trusted(
+        n,
+        tuple(compress(range(1, n + 1), letters.translate(_RED_FLAGS))),
+        MotzkinWord._trusted(letters.translate(_GREEN_TO_FLAT, b"R").decode()),
     )
 
 
@@ -291,11 +360,15 @@ def motzkin_merge(decomposition: MotzkinDecomposition) -> GWord:
     """
     if not isinstance(decomposition, MotzkinDecomposition):
         raise _wrong_input(MotzkinDecomposition, decomposition, InvalidDecomposition)
-    core = iter(decomposition.core.text.translate(_MOTZKIN_TO_G))
-    reds = set(decomposition.red_positions)
-    return GWord._trusted(
-        "".join(["R" if i in reds else next(core) for i in range(1, decomposition.n + 1)])
-    )
+    core = decomposition.core.text.translate(_MOTZKIN_TO_G)
+    pieces = []
+    start = 0
+    for i, red in enumerate(decomposition.red_positions):
+        stop = red - 1 - i  # the core letters before this red zero
+        pieces.append(core[start:stop])
+        start = stop
+    pieces.append(core[start:])
+    return GWord._trusted("R".join(pieces))
 
 
 _TOUCHARD_LINE = re.compile(r"positions=\[((?:[0-9]+(?:,[0-9]+)*)?)\];core=(\w*);colors=([01]*)")

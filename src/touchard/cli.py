@@ -12,6 +12,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -22,6 +23,10 @@ from itertools import chain
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .bijections import (
+    MotzkinDecomposition,
+    TouchardDecomposition,
+    _motzkin_fault,
+    _touchard_fault,
     catalan_to_g,
     drop_restriction,
     format_motzkin_decomposition,
@@ -106,8 +111,10 @@ def _first_failure(words: list, forward: Callable, backward: Callable, valid: Ca
     for word in words:
         try:
             image = forward(word)
-            if valid(image) and backward(image) == word:
-                continue
+            if valid(image):
+                back = backward(image)
+                if back.__class__ is word.__class__ and back.text == word.text:
+                    continue
         except ValueError:
             pass
         return word.text
@@ -130,37 +137,54 @@ def _roundtrip_shard(n: int, shard: int, jobs: int) -> list[tuple]:
     restricted_{n+1} for ``restriction``, G_n for the splits.  Each is (name,
     size of the target family, how many words that family lists, how many
     words this shard walked, its first failure's text or None); a split's
-    target is its decompositions, which list no word.  A first family's first
-    repeated text, if any, is every shard's failure.  The families are
-    enumerated as texts, and only the shard's own texts become words.
+    target is its decompositions, which list no word, and a split is valid
+    when its structure passes the decomposition's own check and its core is
+    one of the enumerated cores.  A first family's first repeated text, if
+    any, is every shard's failure.  The families are enumerated as texts,
+    and only the shard's own texts become words.  The cyclic garbage
+    collector is off while a shard runs: a shard makes no reference cycles,
+    and collections would only walk its words again and again.
     """
-    dyck = list(_paths(2 * n + 2, DyckWord._alphabet))
-    restricted = list(_paths(n + 1, RestrictedGWord._alphabet, ground_red_ok=False))
-    grown = list(_paths(n, GWord._alphabet))
-    restricted_set, grown_set = set(restricted), set(grown)
-    is_dyck_core = _family(DyckWord, set(chain.from_iterable(
-        _paths(2 * k, DyckWord._alphabet) for k in range(n // 2 + 1))))
-    is_motzkin_core = _family(MotzkinWord, set(chain.from_iterable(
-        _paths(k, MotzkinWord._alphabet) for k in range(n + 1))))
-    own_dyck, own_restricted, own_grown = (  # each first family: its first repeated text or None, shard's words
-        (None if len(distinct) == len(texts) else next(text for text, count in Counter(texts).items() if count > 1),
-         list(map(cls._trusted, texts[len(texts) * shard // jobs:len(texts) * (shard + 1) // jobs])))
-        for cls, texts, distinct in (
-            (DyckWord, dyck, set(dyck)), (RestrictedGWord, restricted, restricted_set), (GWord, grown, grown_set))
-    )
-    return [
-        (name, size, listed, len(words), _first_failure(words, *maps) if repeat is None else repeat)
-        for name, size, listed, (repeat, words), *maps in (
-            ("pair", len(restricted), len(restricted), own_dyck, pair_encode, pair_decode,
-             _family(RestrictedGWord, restricted_set)),
-            ("restriction", len(grown), len(grown), own_restricted, drop_restriction, raise_restriction,
-             _family(GWord, grown_set)),
-            ("touchard_split", touchard_rhs(n).rhs, 0, own_grown, touchard_split, touchard_merge,
-             lambda d: is_dyck_core(d.core)),
-            ("motzkin_split", motzkin_rhs(n).rhs, 0, own_grown, motzkin_split, motzkin_merge,
-             lambda d: is_motzkin_core(d.core)),
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        dyck = list(_paths(2 * n + 2, DyckWord._alphabet))
+        restricted = list(_paths(n + 1, RestrictedGWord._alphabet, ground_red_ok=False))
+        grown = list(_paths(n, GWord._alphabet))
+        restricted_set, grown_set = set(restricted), set(grown)
+        dyck_cores = set(chain.from_iterable(_paths(2 * k, DyckWord._alphabet) for k in range(n // 2 + 1)))
+        motzkin_cores = set(chain.from_iterable(_paths(k, MotzkinWord._alphabet) for k in range(n + 1)))
+
+        def touchard_valid(split) -> bool:
+            return (split.__class__ is TouchardDecomposition and split.core.__class__ is DyckWord
+                    and split.core.text in dyck_cores
+                    and _touchard_fault(split.n, split.positions, split.core, split.colors) is None)
+
+        def motzkin_valid(split) -> bool:
+            return (split.__class__ is MotzkinDecomposition and split.core.__class__ is MotzkinWord
+                    and split.core.text in motzkin_cores
+                    and _motzkin_fault(split.n, split.red_positions, split.core) is None)
+
+        own_dyck, own_restricted, own_grown = (  # each first family: its first repeated text or None, shard's words
+            (None if len(distinct) == len(texts) else next(text for text, count in Counter(texts).items() if count > 1),
+             list(map(cls._trusted, texts[len(texts) * shard // jobs:len(texts) * (shard + 1) // jobs])))
+            for cls, texts, distinct in (
+                (DyckWord, dyck, set(dyck)), (RestrictedGWord, restricted, restricted_set), (GWord, grown, grown_set))
         )
-    ]
+        return [
+            (name, size, listed, len(words), _first_failure(words, *maps) if repeat is None else repeat)
+            for name, size, listed, (repeat, words), *maps in (
+                ("pair", len(restricted), len(restricted), own_dyck, pair_encode, pair_decode,
+                 _family(RestrictedGWord, restricted_set)),
+                ("restriction", len(grown), len(grown), own_restricted, drop_restriction, raise_restriction,
+                 _family(GWord, grown_set)),
+                ("touchard_split", touchard_rhs(n).rhs, 0, own_grown, touchard_split, touchard_merge, touchard_valid),
+                ("motzkin_split", motzkin_rhs(n).rhs, 0, own_grown, motzkin_split, motzkin_merge, motzkin_valid),
+            )
+        ]
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _roundtrip_checks(n: int, shards: list[list[tuple]]) -> Iterator[Check]:

@@ -39,6 +39,7 @@ from touchard import (
     validate_g_restricted,
     validate_motzkin,
 )
+from touchard.bijections import _motzkin_fault, _touchard_fault
 
 dyck, gword, restricted = validate_dyck, validate_g, validate_g_restricted
 STEP = {"U": 1, "D": -1, "G": 0, "R": 0}  # each letter's step in height, independent of the package
@@ -227,34 +228,59 @@ def test_split_census_at_n10_matches_identity_terms():
     assert by_core_len == [binomial(n, k) * motzkin_count(k) for k in range(n + 1)]
 
 
+# Constructor arguments each decomposition class rejects, with the message it gives.
+INVALID_DECOMPOSITIONS = [
+    (TouchardDecomposition, ((1,), dyck("UD"), (True,)),  # one slot for two letters
+     "positions must hold one slot per core letter"),
+    (TouchardDecomposition, ((1, 3), dyck("UD"), ()),  # missing color: position 3 lies beyond the word
+     "positions must lie in 1..2"),
+    (TouchardDecomposition, ((3, 1), dyck("UD"), (False,)), "positions must be strictly increasing"),
+    (TouchardDecomposition, ((1, 4), dyck("UD"), (False,)), "positions must lie in 1..3"),
+    (TouchardDecomposition, ([1, 2], validate_g("UD"), []),  # a G-word core
+     "the core must be a DyckWord, not a GWord"),
+    (TouchardDecomposition, ((), None, ()), "the core must be a DyckWord, not a NoneType"),
+    (TouchardDecomposition, (("1", "2"), dyck("UD"), ()), "positions must be ints"),  # strings
+    (TouchardDecomposition, ((True, 2), dyck("UD"), ()), "positions must be ints"),  # a bool
+    (TouchardDecomposition, ((1.0, 2), dyck("UD"), ()), "positions must be ints"),  # a float
+    # a string, None and an int
+    *((TouchardDecomposition, ((1, 2), dyck("UD"), colors), "colors must be bools")
+      for colors in (["0"], [None, 2], (1,))),
+    (MotzkinDecomposition, ((2, 2), MotzkinWord("")), "red positions must be strictly increasing"),  # duplicate
+    (MotzkinDecomposition, ((0, 1), MotzkinWord("")), "red positions must lie in 1..2"),
+    (MotzkinDecomposition, ((), validate_g_restricted("URD")),  # a restricted-word core
+     "the core must be a MotzkinWord, not a RestrictedGWord"),
+    (MotzkinDecomposition, ((), None), "the core must be a MotzkinWord, not a NoneType"),
+    (MotzkinDecomposition, ((True,), validate_motzkin("")), "red positions must be ints"),  # a bool
+]
+
+
 def test_invalid_decompositions():
+    for cls, args, message in INVALID_DECOMPOSITIONS:
+        with pytest.raises(InvalidDecomposition) as raised:
+            cls(*args)
+        assert str(raised.value) == message, args
+
+
+def test_structure_checks_give_the_constructors_verdicts():
+    # _touchard_fault and _motzkin_fault, which verify runs on each split it
+    # walks, name every fault the constructors raise on, with the same message;
+    # and they also reject fields that the constructors would have converted.
+    for cls, args, message in INVALID_DECOMPOSITIONS:
+        if cls is TouchardDecomposition:
+            positions, core, colors = tuple(args[0]), args[1], tuple(args[2])
+            assert _touchard_fault(len(positions) + len(colors), positions, core, colors) == message, args
+        else:
+            positions, core = tuple(args[0]), args[1]
+            n = len(positions) + (len(core) if isinstance(core, MotzkinWord) else 0)
+            assert _motzkin_fault(n, positions, core) == message, args
     core = dyck("UD")
-    with pytest.raises(InvalidDecomposition):
-        TouchardDecomposition((1,), core, (True,))  # one slot for two letters
-    with pytest.raises(InvalidDecomposition):
-        TouchardDecomposition((1, 3), core, ())  # missing color: position 3 lies beyond the word
-    with pytest.raises(InvalidDecomposition):
-        TouchardDecomposition((3, 1), core, (False,))  # not increasing
-    with pytest.raises(InvalidDecomposition):
-        TouchardDecomposition((1, 4), core, (False,))  # out of range
-    with pytest.raises(InvalidDecomposition, match="core must be a DyckWord"):
-        TouchardDecomposition([1, 2], validate_g("UD"), [])  # a G-word core
-    with pytest.raises(InvalidDecomposition, match="positions must be ints"):
-        TouchardDecomposition(("1", "2"), core, ())  # strings
-    with pytest.raises(InvalidDecomposition, match="positions must be ints"):
-        TouchardDecomposition((True, 2), core, ())  # a bool
-    for colors in (["0"], [None, 2], (1,)):  # a string, None and an int
-        with pytest.raises(InvalidDecomposition, match="colors must be bools"):
-            TouchardDecomposition((1, 2), core, colors)
-    motzkin_core = MotzkinWord("")
-    with pytest.raises(InvalidDecomposition):
-        MotzkinDecomposition((2, 2), motzkin_core)  # duplicate position
-    with pytest.raises(InvalidDecomposition):
-        MotzkinDecomposition((0, 1), motzkin_core)  # out of range
-    with pytest.raises(InvalidDecomposition, match="core must be a MotzkinWord"):
-        MotzkinDecomposition((), validate_g_restricted("URD"))  # a restricted-word core
-    with pytest.raises(InvalidDecomposition, match="red positions must be ints"):
-        MotzkinDecomposition((True,), validate_motzkin(""))  # a bool
+    assert _touchard_fault(3, (1, 2), core, (False,)) is None
+    assert _touchard_fault(3, [1, 2], core, (False,)) == "positions and colors must be tuples"
+    assert _touchard_fault(3, (1, 2), core, [False]) == "positions and colors must be tuples"
+    assert _touchard_fault(4, (1, 2), core, (False,)) == "n must be 3, the number of slots, not 4"
+    assert _motzkin_fault(3, (2,), MotzkinWord("UD")) is None
+    assert _motzkin_fault(3, [2], MotzkinWord("UD")) == "red positions must be a tuple"
+    assert _motzkin_fault(2, (2,), MotzkinWord("UD")) == "n must be 3, the number of slots, not 2"
 
 
 def test_maps_reject_words_of_other_families():

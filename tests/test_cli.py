@@ -29,6 +29,7 @@ from touchard import (
     raise_restriction,
     sample_dyck,
     touchard_merge,
+    touchard_split,
 )
 from touchard.cli import MAX_JOBS, VerifyConfig, build_parser, cmd_verify, main, resolve_jobs, run_checks
 
@@ -445,6 +446,37 @@ def test_roundtrip_shards_walk_every_word_once_in_order(monkeypatch, jobs):
             assert all(failure is None for *_, failure in checks)
 
 
+def test_roundtrip_shards_run_without_the_cycle_collector_and_make_no_cycles(monkeypatch):
+    # A shard turns the cyclic collector off and gives the caller back its
+    # state; with the collector off, a shard leaves nothing for it to free,
+    # so turning it off cannot make memory grow.
+    import gc
+
+    from touchard import cli
+
+    real_first_failure = cli._first_failure
+    collecting = []
+
+    def recording_first_failure(*args):
+        collecting.append(gc.isenabled())
+        return real_first_failure(*args)
+
+    monkeypatch.setattr(cli, "_first_failure", recording_first_failure)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        cli._roundtrip_shard(3, 0, 1)
+        assert gc.isenabled() and collecting == [False] * 4
+        gc.collect()
+        gc.disable()
+        cli._roundtrip_shard(7, 0, 1)
+        assert not gc.isenabled()
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _raising_on(real, text, on_result=False):
     """``real``, raising ValueError where its argument (or, with ``on_result``, its result) is the word ``text``."""
     def fault(argument):
@@ -797,6 +829,74 @@ def test_verify_checks_map_outputs_under_optimize():
     assert "roundtrip=restriction n=4 words=84 ok=false" in out.splitlines()
     assert "roundtrip=pair n=4 words=84 ok=true" in out.splitlines()
     assert err.startswith("verify: first failing check: roundtrip=restriction")
+
+
+# Splits that build a wrong structure through the trusted constructor, each
+# with the split verify calls it under.  Their round trips alone would pass a
+# bool position, int colors, a list of positions and UD's reversed positions,
+# and a float position makes the merge raise TypeError.
+SPLIT_FAULTS = textwrap.dedent("""
+    from touchard.bijections import MotzkinDecomposition, TouchardDecomposition, motzkin_split, touchard_split
+
+    def touchard(positions=lambda d: d.positions, colors=lambda d: d.colors):
+        def split(word):
+            d = touchard_split(word)
+            return TouchardDecomposition._trusted(d.n, positions(d), d.core, colors(d))
+        return "touchard_split", split
+
+    def motzkin(red_positions):
+        def split(word):
+            d = motzkin_split(word)
+            reds = red_positions(d)  # n counts any added red slot, so that n itself stays consistent
+            return MotzkinDecomposition._trusted(d.n + (len(reds) - len(d.red_positions)), reds, d.core)
+        return "motzkin_split", split
+
+    FAULTS = {
+        "reversed positions": touchard(positions=lambda d: d.positions[::-1]),
+        "a bool position": touchard(positions=lambda d: tuple(True if p == 1 else p for p in d.positions)),
+        "a float position": motzkin(lambda d: tuple(map(float, d.red_positions))),
+        "int colors": touchard(colors=lambda d: tuple(map(int, d.colors))),
+        "list positions": touchard(positions=lambda d: list(d.positions)),
+        "a repeated red position": motzkin(lambda d: d.red_positions + d.red_positions[-1:]),
+    }
+""")
+
+
+def test_verify_fails_each_split_with_a_faulty_structure():
+    # verify checks each split's structure (increasing int positions in
+    # 1..n, bool colors, tuples, n), not only its round trip: each fault
+    # fails its split's check at the first G-word whose split it changes, on
+    # one worker and on two, under python and python -O.
+    namespace = {}
+    exec(SPLIT_FAULTS, namespace)
+    real = {"touchard_split": touchard_split, "motzkin_split": motzkin_split}
+    expected = []
+    for name, (target, fault) in namespace["FAULTS"].items():
+        first = next(word.text for n in range(6) for word in enumerate_g(n)
+                     if repr(fault(word)) != repr(real[target](word)))
+        for cpus in (1, 2):
+            expected.append([name, cpus, 1, target, len(first), first])
+    code = SPLIT_FAULTS + textwrap.dedent("""
+        import contextlib, io, json, os, re
+        import touchard.cli as cli
+
+        for name, (target, fault) in FAULTS.items():
+            for cpus in (1, 2):
+                os.sched_getaffinity = lambda pid: set(range(cpus))
+                real, out, err = getattr(cli, target), io.StringIO(), io.StringIO()
+                setattr(cli, target, fault)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    status = cli.main(["verify", "--max-roundtrip-len", "5"])
+                setattr(cli, target, real)
+                check = re.fullmatch(r"verify: first failing check: roundtrip=(\\w+) n=(\\d+) words=\\d+ ok=false "
+                                     r"counterexample=(\\w*)\\n", err.getvalue())
+                found = [check[1], int(check[2]), check[3]] if check else [err.getvalue()]
+                print(json.dumps([name, cpus, status, *found]))
+    """)
+    for optimize in (False, True):
+        status, out, err = run_python("-c", code, optimize=optimize)
+        assert (status, err) == (0, "")
+        assert [json.loads(line) for line in out.splitlines()] == expected
 
 
 def test_verify_closed_output_pipe_stops_every_worker():

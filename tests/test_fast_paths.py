@@ -4,7 +4,10 @@ Exhaustive at small sizes: every word up to length 8 (semilength 9 for
 Dyck words) through the enumerators, the validators and all ten ``map``
 directions, with the same outputs and the same errors.  The enumerator's
 table of completions is also compared with its successor-only form, up to
-length 10 to 13 (semilength 11).
+length 10 to 13 (semilength 11).  The splits, which build their results
+unchecked, are compared with the validating constructors on every G-word
+up to length 10, and the merges with the reference's on every valid
+decomposition up to 7 slots.
 """
 
 import itertools
@@ -12,15 +15,22 @@ import itertools
 import pytest
 
 import tuple_reference as ref
+from test_bijections import all_motzkin_decompositions, all_touchard_decompositions
 from touchard import (
     DyckWord,
     GWord,
+    MotzkinDecomposition,
     MotzkinWord,
     RestrictedGWord,
+    TouchardDecomposition,
     enumerate_dyck,
     enumerate_g,
     enumerate_g_restricted,
     enumerate_motzkin,
+    motzkin_merge,
+    motzkin_split,
+    touchard_merge,
+    touchard_split,
     validate_dyck,
     validate_g,
     validate_g_restricted,
@@ -176,3 +186,29 @@ def test_completion_table_size():
         ("UHD", True): (8, 2123),
     }
     assert _completions(3, "UGRD", True)[0] == 3  # never longer than the word
+
+
+def test_splits_equal_the_validating_constructors_to_10():
+    # The constructors check their fields (exact int positions, bool colors,
+    # tuples, the core class) and derive n; equality then pins every field,
+    # a tuple against a list included.
+    for n in range(11):
+        for word in enumerate_g(n):
+            split = touchard_split(word)
+            assert split == TouchardDecomposition(split.positions, split.core, split.colors), word
+            split = motzkin_split(word)
+            assert split == MotzkinDecomposition(split.red_positions, split.core), word
+
+
+def test_merges_match_reference_on_every_decomposition_to_7():
+    for n in range(8):
+        for decomposition in all_touchard_decompositions(n):
+            merged = touchard_merge(decomposition)
+            core = ref.parse_letters(decomposition.core.text)
+            expected = ref.touchard_merge(decomposition.n, decomposition.positions, core, decomposition.colors)
+            assert (type(merged), merged.text) == (GWord, ref.text(expected)), decomposition
+        for decomposition in all_motzkin_decompositions(n):
+            merged = motzkin_merge(decomposition)
+            core = ref.parse_letters(decomposition.core.text)
+            expected = ref.motzkin_merge(decomposition.n, decomposition.red_positions, core)
+            assert (type(merged), merged.text) == (GWord, ref.text(expected)), decomposition
