@@ -178,13 +178,13 @@ def _slots_fault(positions: tuple, n: int, name: str) -> str | None:
     return f"{name} must be strictly increasing"
 
 
-def _touchard_fault(n: int, positions: tuple, core: DyckWord, colors: tuple) -> str | None:
+def _touchard_fault(positions: tuple, core: DyckWord, colors: tuple) -> str | None:
     """Why these fields do not form a ``TouchardDecomposition``, or None if they do.
 
     The core must be a DyckWord; positions and colors tuples; colors bools;
-    positions one per core letter; n the number of slots, len(positions) +
-    len(colors); and positions ints increasing strictly within 1..n.  The
-    first fault found, in that order, is the one named.
+    positions one per core letter; and positions ints increasing strictly
+    within 1..n, where n = len(positions) + len(colors) is the number of
+    slots.  The first fault found, in that order, is the one named.
     """
     if not isinstance(core, DyckWord):
         return f"the core must be a DyckWord, not a {type(core).__name__}"
@@ -194,26 +194,22 @@ def _touchard_fault(n: int, positions: tuple, core: DyckWord, colors: tuple) -> 
         return "colors must be bools"
     if len(positions) != len(core.text):
         return "positions must hold one slot per core letter"
-    if n != len(positions) + len(colors):
-        return f"n must be {len(positions) + len(colors)}, the number of slots, not {n!r}"
-    return _slots_fault(positions, n, "positions")
+    return _slots_fault(positions, len(positions) + len(colors), "positions")
 
 
-def _motzkin_fault(n: int, red_positions: tuple, core: MotzkinWord) -> str | None:
+def _motzkin_fault(red_positions: tuple, core: MotzkinWord) -> str | None:
     """Why these fields do not form a ``MotzkinDecomposition``, or None if they do.
 
-    The core must be a MotzkinWord; red positions a tuple; n the number of
-    slots, len(red_positions) + len(core); and red positions ints
-    increasing strictly within 1..n.  The first fault found, in that order,
+    The core must be a MotzkinWord; red positions a tuple; and red positions
+    ints increasing strictly within 1..n, where n = len(red_positions) +
+    len(core) is the number of slots.  The first fault found, in that order,
     is the one named.
     """
     if not isinstance(core, MotzkinWord):
         return f"the core must be a MotzkinWord, not a {type(core).__name__}"
     if red_positions.__class__ is not tuple:
         return "red positions must be a tuple"
-    if n != len(red_positions) + len(core.text):
-        return f"n must be {len(red_positions) + len(core.text)}, the number of slots, not {n!r}"
-    return _slots_fault(red_positions, n, "red positions")
+    return _slots_fault(red_positions, len(red_positions) + len(core.text), "red positions")
 
 
 _new = object.__new__
@@ -226,11 +222,10 @@ class TouchardDecomposition:
     ``positions`` lists the 1-based slots of the 2k up/down letters,
     ``core`` is the Dyck word they spell, and ``colors`` the color of
     each remaining zero slot in position order (a bool, True = red).
-    ``n``, the number of slots they fill, is len(positions) + len(colors).
+    ``n``, the number of slots they fill, is derived: len(positions) + len(colors).
     There are binom(n, 2k) * C_k * 2^(n-2k) decompositions with |positions| = 2k.
     """
 
-    n: int
     positions: tuple[int, ...]
     core: DyckWord
     colors: tuple[bool, ...]
@@ -238,18 +233,21 @@ class TouchardDecomposition:
     def __init__(self, positions: Iterable[int], core: DyckWord, colors: Iterable[bool]) -> None:
         positions = tuple(positions)
         colors = tuple(colors)
-        n = len(positions) + len(colors)
-        fault = _touchard_fault(n, positions, core, colors)
+        fault = _touchard_fault(positions, core, colors)
         if fault is not None:
             raise InvalidDecomposition(fault)
         # One write past the frozen __setattr__, instead of one call per field.
-        self.__dict__.update(n=n, positions=positions, core=core, colors=colors)
+        self.__dict__.update(positions=positions, core=core, colors=colors)
+
+    @property
+    def n(self) -> int:
+        return len(self.positions) + len(self.colors)
 
     @classmethod
-    def _trusted(cls, n: int, positions: tuple[int, ...], core: DyckWord, colors: tuple[bool, ...]):
+    def _trusted(cls, positions: tuple[int, ...], core: DyckWord, colors: tuple[bool, ...]):
         """A decomposition from fields the caller guarantees ``_touchard_fault`` passes."""
         decomposition = _new(cls)
-        decomposition.__dict__.update(n=n, positions=positions, core=core, colors=colors)
+        decomposition.__dict__.update(positions=positions, core=core, colors=colors)
         return decomposition
 
 
@@ -259,29 +257,30 @@ class MotzkinDecomposition:
 
     ``red_positions`` lists the 1-based slots of the n-k red zeros and
     ``core`` is the Motzkin word left by the other letters (green zeros
-    become flats).  ``n``, the number of slots they fill, is
+    become flats).  ``n``, the number of slots they fill, is derived:
     len(red_positions) + len(core).  There are binom(n, k) * M_k
     decompositions whose core has length k.
     """
 
-    n: int
     red_positions: tuple[int, ...]
     core: MotzkinWord
 
     def __init__(self, red_positions: Iterable[int], core: MotzkinWord) -> None:
         red_positions = tuple(red_positions)
-        # A core of another type is the fault named, before n is compared.
-        n = len(red_positions) + len(core.text) if isinstance(core, MotzkinWord) else None
-        fault = _motzkin_fault(n, red_positions, core)
+        fault = _motzkin_fault(red_positions, core)
         if fault is not None:
             raise InvalidDecomposition(fault)
-        self.__dict__.update(n=n, red_positions=red_positions, core=core)
+        self.__dict__.update(red_positions=red_positions, core=core)
+
+    @property
+    def n(self) -> int:
+        return len(self.red_positions) + len(self.core.text)
 
     @classmethod
-    def _trusted(cls, n: int, red_positions: tuple[int, ...], core: MotzkinWord):
+    def _trusted(cls, red_positions: tuple[int, ...], core: MotzkinWord):
         """A decomposition from fields the caller guarantees ``_motzkin_fault`` passes."""
         decomposition = _new(cls)
-        decomposition.__dict__.update(n=n, red_positions=red_positions, core=core)
+        decomposition.__dict__.update(red_positions=red_positions, core=core)
         return decomposition
 
 
@@ -308,7 +307,6 @@ def touchard_split(word: GWord) -> TouchardDecomposition:
     letters = word.text.encode()
     n = len(letters)
     return TouchardDecomposition._trusted(
-        n,
         tuple(compress(range(1, n + 1), letters.translate(_STEP_FLAGS))),
         DyckWord._trusted(letters.translate(None, b"GR").decode()),
         tuple(map(bool, letters.translate(_ZERO_COLORS, b"UD"))),
@@ -346,7 +344,6 @@ def motzkin_split(word: GWord) -> MotzkinDecomposition:
     letters = word.text.encode()
     n = len(letters)
     return MotzkinDecomposition._trusted(
-        n,
         tuple(compress(range(1, n + 1), letters.translate(_RED_FLAGS))),
         MotzkinWord._trusted(letters.translate(_GREEN_TO_FLAT, b"R").decode()),
     )

@@ -158,12 +158,12 @@ def _roundtrip_shard(n: int, shard: int, jobs: int) -> list[tuple]:
         def touchard_valid(split) -> bool:
             return (split.__class__ is TouchardDecomposition and split.core.__class__ is DyckWord
                     and split.core.text in dyck_cores
-                    and _touchard_fault(split.n, split.positions, split.core, split.colors) is None)
+                    and _touchard_fault(split.positions, split.core, split.colors) is None)
 
         def motzkin_valid(split) -> bool:
             return (split.__class__ is MotzkinDecomposition and split.core.__class__ is MotzkinWord
                     and split.core.text in motzkin_cores
-                    and _motzkin_fault(split.n, split.red_positions, split.core) is None)
+                    and _motzkin_fault(split.red_positions, split.core) is None)
 
         own_dyck, own_restricted, own_grown = (  # each first family: its first repeated text or None, shard's words
             (None if len(distinct) == len(texts) else next(text for text, count in Counter(texts).items() if count > 1),

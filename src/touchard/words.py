@@ -277,43 +277,26 @@ def _paths(length: int, alphabet: str, ground_red_ok: bool = True) -> Iterator[s
     last letters come from a table built per call (``_completions``):
     every word with a given head, the first ``length - tail`` letters, is
     that head followed by each completion of the head's height in turn.
-    The next head is that of the successor of the head's last word: change
-    the last letter that can grow to a later letter of the alphabet, then
-    append the smallest completion, U^a Z^(r-h-2a) D^(h+a) with
-    a = (r-h)//2 and Z = alphabet[1], the green or flat zero, which never
-    holds a red zero.  Memory is O(length) plus at most ``_TAIL_WORDS``
-    table words.
+    Heads are walked depth first: a stack of (letters before it, letter,
+    height after it), children pushed in reverse alphabet order, and one
+    shared list of the head's letters.  Memory is O(length) plus at most
+    ``_TAIL_WORDS`` table words.
     """
-    later = {ch: alphabet[i + 1 :] for i, ch in enumerate(alphabet)}
-    zero = alphabet[1]
-
-    def completion(height: int, remaining: int) -> str:
-        ups, odd = divmod(remaining - height, 2)
-        return "U" * ups + zero * odd + "D" * (height + ups)
-
-    def successor(text: str) -> str | None:
-        # A final run of down-steps cannot grow; it starts at the height it descends.
-        i = len(text.rstrip("D"))
-        height = length - i
-        while i:
-            i -= 1
-            ch = text[i]
-            height -= STEP[ch]  # now the height before letter i
-            remaining = length - i - 1
-            for bigger in later[ch]:
-                new_height = height + STEP[bigger]
-                if 0 <= new_height <= remaining and (ground_red_ok or height or bigger != "R"):
-                    return text[:i] + bigger + completion(new_height, remaining)
-        return None
-
     tail, table = _completions(length, alphabet, ground_red_ok)
     head = length - tail
-    text = completion(0, length)
-    while text is not None:
-        prefix = text[:head]
-        block = table[prefix.count("U") - prefix.count("D")]
-        yield from map(prefix.__add__, block)
-        text = successor(prefix + block[-1])
+    letters, stack = [], [(0, "", 0)]
+    while stack:
+        depth, ch, height = stack.pop()
+        letters[depth:] = ch  # the root's letter is empty
+        depth = len(letters)
+        if depth == head:
+            yield from map("".join(letters).__add__, table[height])
+            continue
+        remaining = length - depth - 1  # letters left after a child
+        for child in reversed(alphabet):
+            child_height = height + STEP[child]
+            if 0 <= child_height <= remaining and (ground_red_ok or height or child != "R"):
+                stack.append((depth, child, child_height))
 
 
 def _size(n: int, what: str) -> None:

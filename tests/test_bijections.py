@@ -267,20 +267,15 @@ def test_structure_checks_give_the_constructors_verdicts():
     # and they also reject fields that the constructors would have converted.
     for cls, args, message in INVALID_DECOMPOSITIONS:
         if cls is TouchardDecomposition:
-            positions, core, colors = tuple(args[0]), args[1], tuple(args[2])
-            assert _touchard_fault(len(positions) + len(colors), positions, core, colors) == message, args
+            assert _touchard_fault(tuple(args[0]), args[1], tuple(args[2])) == message, args
         else:
-            positions, core = tuple(args[0]), args[1]
-            n = len(positions) + (len(core) if isinstance(core, MotzkinWord) else 0)
-            assert _motzkin_fault(n, positions, core) == message, args
+            assert _motzkin_fault(tuple(args[0]), args[1]) == message, args
     core = dyck("UD")
-    assert _touchard_fault(3, (1, 2), core, (False,)) is None
-    assert _touchard_fault(3, [1, 2], core, (False,)) == "positions and colors must be tuples"
-    assert _touchard_fault(3, (1, 2), core, [False]) == "positions and colors must be tuples"
-    assert _touchard_fault(4, (1, 2), core, (False,)) == "n must be 3, the number of slots, not 4"
-    assert _motzkin_fault(3, (2,), MotzkinWord("UD")) is None
-    assert _motzkin_fault(3, [2], MotzkinWord("UD")) == "red positions must be a tuple"
-    assert _motzkin_fault(2, (2,), MotzkinWord("UD")) == "n must be 3, the number of slots, not 2"
+    assert _touchard_fault((1, 2), core, (False,)) is None
+    assert _touchard_fault([1, 2], core, (False,)) == "positions and colors must be tuples"
+    assert _touchard_fault((1, 2), core, [False]) == "positions and colors must be tuples"
+    assert _motzkin_fault((2,), MotzkinWord("UD")) is None
+    assert _motzkin_fault([2], MotzkinWord("UD")) == "red positions must be a tuple"
 
 
 def test_maps_reject_words_of_other_families():

@@ -841,14 +841,13 @@ SPLIT_FAULTS = textwrap.dedent("""
     def touchard(positions=lambda d: d.positions, colors=lambda d: d.colors):
         def split(word):
             d = touchard_split(word)
-            return TouchardDecomposition._trusted(d.n, positions(d), d.core, colors(d))
+            return TouchardDecomposition._trusted(positions(d), d.core, colors(d))
         return "touchard_split", split
 
     def motzkin(red_positions):
         def split(word):
             d = motzkin_split(word)
-            reds = red_positions(d)  # n counts any added red slot, so that n itself stays consistent
-            return MotzkinDecomposition._trusted(d.n + (len(reds) - len(d.red_positions)), reds, d.core)
+            return MotzkinDecomposition._trusted(red_positions(d), d.core)
         return "motzkin_split", split
 
     FAULTS = {
@@ -864,7 +863,7 @@ SPLIT_FAULTS = textwrap.dedent("""
 
 def test_verify_fails_each_split_with_a_faulty_structure():
     # verify checks each split's structure (increasing int positions in
-    # 1..n, bool colors, tuples, n), not only its round trip: each fault
+    # 1..n, bool colors, tuples), not only its round trip: each fault
     # fails its split's check at the first G-word whose split it changes, on
     # one worker and on two, under python and python -O.
     namespace = {}

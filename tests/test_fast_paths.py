@@ -4,13 +4,15 @@ Exhaustive at small sizes: every word up to length 8 (semilength 9 for
 Dyck words) through the enumerators, the validators and all ten ``map``
 directions, with the same outputs and the same errors.  The enumerator's
 table of completions is also compared with its successor-only form, up to
-length 10 to 13 (semilength 11).  The splits, which build their results
+length 10 to 13 (semilength 11), and at 20,000 letters, where it must
+also stay within a small memory peak.  The splits, which build their results
 unchecked, are compared with the validating constructors on every G-word
 up to length 10, and the merges with the reference's on every valid
 decomposition up to 7 slots.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -174,6 +176,21 @@ def test_completion_table_matches_successor_reference(family):
     )
 
 
+@pytest.mark.parametrize("family", PATH_FAMILIES)
+def test_enumerator_streams_long_words_in_small_memory(family):
+    # README promises O(length) memory: the first words at 20,000 letters
+    # (Dyck semilength 10,000) must not keep a prefix string per stack entry.
+    _, alphabet, ground_red_ok, _ = PATH_FAMILIES[family]
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(_paths(20000, alphabet, ground_red_ok), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == list(itertools.islice(ref.successor_paths(20000, alphabet, ground_red_ok), 3))
+    assert peak < 16_000_000, peak
+
+
 def test_completion_table_size():
     tails = {
         (alphabet, ground_red_ok): _completions(100, alphabet, ground_red_ok)
@@ -196,8 +213,10 @@ def test_splits_equal_the_validating_constructors_to_10():
         for word in enumerate_g(n):
             split = touchard_split(word)
             assert split == TouchardDecomposition(split.positions, split.core, split.colors), word
+            assert split.n == n, word
             split = motzkin_split(word)
             assert split == MotzkinDecomposition(split.red_positions, split.core), word
+            assert split.n == n, word
 
 
 def test_merges_match_reference_on_every_decomposition_to_7():
