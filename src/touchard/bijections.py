@@ -53,6 +53,7 @@ from .words import (
     MotzkinWord,
     RestrictedGWord,
     WordError,
+    _first_ground_red,
     validate_dyck,
     validate_motzkin,
 )
@@ -132,15 +133,9 @@ def raise_restriction(word: GWord) -> RestrictedGWord:
     if not isinstance(word, GWord):
         raise _wrong_input(GWord, word)
     text = word.text
-    height = 0
-    start = 0
-    red = text.find("R")
-    while red >= 0:
-        height += text.count("U", start, red) - text.count("D", start, red)
-        if height == 0:
-            return RestrictedGWord._trusted(text[:red] + "U" + text[red + 1 :] + "D")
-        start = red
-        red = text.find("R", red + 1)
+    red = _first_ground_red(text)
+    if red >= 0:
+        return RestrictedGWord._trusted(text[:red] + "U" + text[red + 1 :] + "D")
     return RestrictedGWord._trusted(text + "G")
 
 
@@ -226,6 +221,9 @@ class TouchardDecomposition:
     There are binom(n, 2k) * C_k * 2^(n-2k) decompositions with |positions| = 2k.
     """
 
+    # Declared rather than dataclass(slots=True), whose frozen __setattr__ raises
+    # TypeError, not FrozenInstanceError, for a name that is not a field (Python 3.11).
+    __slots__ = ("positions", "core", "colors")
     positions: tuple[int, ...]
     core: DyckWord
     colors: tuple[bool, ...]
@@ -236,8 +234,9 @@ class TouchardDecomposition:
         fault = _touchard_fault(positions, core, colors)
         if fault is not None:
             raise InvalidDecomposition(fault)
-        # One write past the frozen __setattr__, instead of one call per field.
-        self.__dict__.update(positions=positions, core=core, colors=colors)
+        _set_positions(self, positions)
+        _set_core(self, core)
+        _set_colors(self, colors)
 
     @property
     def n(self) -> int:
@@ -247,8 +246,19 @@ class TouchardDecomposition:
     def _trusted(cls, positions: tuple[int, ...], core: DyckWord, colors: tuple[bool, ...]):
         """A decomposition from fields the caller guarantees ``_touchard_fault`` passes."""
         decomposition = _new(cls)
-        decomposition.__dict__.update(positions=positions, core=core, colors=colors)
+        _set_positions(decomposition, positions)
+        _set_core(decomposition, core)
+        _set_colors(decomposition, colors)
         return decomposition
+
+    def __reduce__(self):  # pickled and copied through the validating constructor, as words are
+        return type(self), (self.positions, self.core, self.colors)
+
+
+# The slots' own setters, past the frozen __setattr__.
+_set_positions = TouchardDecomposition.positions.__set__
+_set_core = TouchardDecomposition.core.__set__
+_set_colors = TouchardDecomposition.colors.__set__
 
 
 @dataclass(frozen=True, init=False)
@@ -262,6 +272,7 @@ class MotzkinDecomposition:
     decompositions whose core has length k.
     """
 
+    __slots__ = ("red_positions", "core")
     red_positions: tuple[int, ...]
     core: MotzkinWord
 
@@ -270,7 +281,8 @@ class MotzkinDecomposition:
         fault = _motzkin_fault(red_positions, core)
         if fault is not None:
             raise InvalidDecomposition(fault)
-        self.__dict__.update(red_positions=red_positions, core=core)
+        _set_red_positions(self, red_positions)
+        _set_motzkin_core(self, core)
 
     @property
     def n(self) -> int:
@@ -280,8 +292,16 @@ class MotzkinDecomposition:
     def _trusted(cls, red_positions: tuple[int, ...], core: MotzkinWord):
         """A decomposition from fields the caller guarantees ``_motzkin_fault`` passes."""
         decomposition = _new(cls)
-        decomposition.__dict__.update(red_positions=red_positions, core=core)
+        _set_red_positions(decomposition, red_positions)
+        _set_motzkin_core(decomposition, core)
         return decomposition
+
+    def __reduce__(self):
+        return type(self), (self.red_positions, self.core)
+
+
+_set_red_positions = MotzkinDecomposition.red_positions.__set__
+_set_motzkin_core = MotzkinDecomposition.core.__set__
 
 
 # Tables over a G-word's encoded text.  The flags are 1 at an up/down letter
@@ -291,6 +311,7 @@ _STEP_FLAGS = bytes.maketrans(b"UDGR", b"\x01\x01\x00\x00")
 _RED_FLAGS = bytes.maketrans(b"UDGR", b"\x00\x00\x00\x01")
 _ZERO_COLORS = bytes.maketrans(b"GR", b"\x00\x01")  # with U and D deleted: one color per zero
 _ZEROS_OF_COLORS = bytes.maketrans(b"\x00\x01", b"GR")
+_COLOR_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # the colors field of a line
 _GREEN_TO_FLAT = bytes.maketrans(b"G", b"H")  # with R deleted: the Motzkin core
 _MOTZKIN_TO_G = str.maketrans("H", "G")
 
@@ -377,41 +398,43 @@ def _parse_positions(text: str, other_slots: int) -> tuple[int, ...]:
 
     No position exceeds n, the number of slots.  A field that keeps more than len(str(n)) digits
     after its leading zeros reads as n + 1, failing the same range check without a conversion
-    whose time grows with the square of its length.
+    whose time grows with the square of its length.  Fields no wider than that are converted as
+    they are.
     """
-    fields = [p.lstrip("0") or "0" for p in text.split(",")] if text else []
+    fields = text.split(",") if text else []
     n = len(fields) + other_slots
     width = len(str(n))
+    if max(map(len, fields), default=0) <= width:
+        return tuple(map(int, fields))
+    fields = [p.lstrip("0") or "0" for p in fields]
     return tuple([int(p) if len(p) <= width else n + 1 for p in fields])
 
 
 def format_touchard_decomposition(decomposition: TouchardDecomposition) -> str:
     """One-line form ``positions=[i,j,...];core=<word>;colors=<bits>``."""
-    positions = ",".join(str(p) for p in decomposition.positions)
-    colors = "".join("1" if c else "0" for c in decomposition.colors)
-    return f"positions=[{positions}];core={decomposition.core};colors={colors}"
+    positions = ",".join(map(str, decomposition.positions))
+    colors = bytes(decomposition.colors).translate(_COLOR_DIGITS).decode()
+    return f"positions=[{positions}];core={decomposition.core.text};colors={colors}"
 
 
 def parse_touchard_decomposition(line: str) -> TouchardDecomposition:
     match = _TOUCHARD_LINE.fullmatch(line)
     if match is None:
         raise InvalidDecomposition(f"cannot parse decomposition line {line!r}")
-    colors = tuple(bit == "1" for bit in match.group(3))
-    positions = _parse_positions(match.group(1), len(colors))
-    core = validate_dyck(match.group(2))
-    return TouchardDecomposition(positions, core, colors)
+    positions, core, colors = match.groups()
+    colors = tuple(map("1".__eq__, colors))
+    return TouchardDecomposition(_parse_positions(positions, len(colors)), validate_dyck(core), colors)
 
 
 def format_motzkin_decomposition(decomposition: MotzkinDecomposition) -> str:
     """One-line form ``red=[i,...];core=<word>``."""
-    reds = ",".join(str(p) for p in decomposition.red_positions)
-    return f"red=[{reds}];core={decomposition.core}"
+    reds = ",".join(map(str, decomposition.red_positions))
+    return f"red=[{reds}];core={decomposition.core.text}"
 
 
 def parse_motzkin_decomposition(line: str) -> MotzkinDecomposition:
     match = _MOTZKIN_LINE.fullmatch(line)
     if match is None:
         raise InvalidDecomposition(f"cannot parse decomposition line {line!r}")
-    red_positions = _parse_positions(match.group(1), len(match.group(2)))
-    core = validate_motzkin(match.group(2))
-    return MotzkinDecomposition(red_positions, core)
+    red_positions, core = match.groups()
+    return MotzkinDecomposition(_parse_positions(red_positions, len(core)), validate_motzkin(core))

@@ -28,6 +28,8 @@ from itertools import zip_longest
 from math import comb
 from typing import Iterator
 
+from .words import _size
+
 
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient, zero outside 0 <= k <= n."""
@@ -38,11 +40,14 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-@lru_cache(maxsize=None)
 def catalan(n: int) -> int:
     """n-th Catalan number, binom(2n, n) // (n + 1); the division is exact."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _size(n, "n")  # before the cache, where True would find catalan(1)
+    return _catalan(n)
+
+
+@lru_cache(maxsize=None)
+def _catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
@@ -53,8 +58,7 @@ def motzkin_count(k: int) -> int:
     holding only the last two values.  The floor division is exact because
     its quotient M_m is an integer.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _size(k, "k")
     before, number = 1, 1
     for m in range(2, k + 1):
         before, number = number, ((2 * m + 1) * number + 3 * (m - 1) * before) // (m + 2)
@@ -98,8 +102,7 @@ def touchard_rhs(n: int) -> IdentityReport:
     numbers 2(2k+1) / (k+2), and the power loses a factor 4.  The floor
     division is exact because its quotient t_{k+1} is an integer.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _size(n, "n")
     term = 1 << n
     terms = [term]
     for k in range(n // 2):
@@ -118,8 +121,7 @@ def motzkin_rhs(n: int) -> IdentityReport:
     binom(n, k) k(k-1) = binom(n, k-2)(n-k+1)(n-k+2).  The floor division
     is exact because its quotient s_k is an integer.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _size(n, "n")
     before, term = 0, 1
     terms = [term]
     for k in range(1, n + 1):
@@ -144,8 +146,7 @@ def g_census(max_n: int, counted: str) -> Iterator[list[int]]:
     ``"U"`` the touchard_rhs terms (k up-steps, term k), for ``"R"`` the
     motzkin_rhs terms reversed (r red zeros, term n - r).
     """
-    if max_n < 0:
-        raise ValueError("max_n must be non-negative")
+    _size(max_n, "max_n")
     rows = [[1]]  # the empty prefix
     yield rows[0]
     for length in range(1, max_n + 1):

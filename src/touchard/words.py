@@ -21,7 +21,11 @@ Validation happens once, at the public boundary, whatever Python's
 ``-O`` setting: the ``validate_*`` functions and the public constructors
 (``DyckWord("UD")``, ``GWord("URD")``, ...) take text only, check it and
 raise the typed errors below; input that is not a ``str`` raises
-BadAlphabet.  The enumerators, the sampler and the maps of
+BadAlphabet.  The check is one pass in one frame (``Word._check``): one
+``str.translate`` finds the letters outside the family, unknown
+characters among them raise first, and the walk over the heights stops
+at the first such letter, so a dip before it is named and one after it
+is not.  The enumerators, the sampler and the maps of
 ``bijections`` build their outputs through the private ``_trusted``
 constructor, which checks nothing; code that builds words that way owns
 their validity, and ``touchard verify`` checks the maps' outputs
@@ -88,6 +92,20 @@ class RedZeroAtGroundLevel(WordError):
     """A red zero whose preceding prefix sum is zero, in a restricted word."""
 
 
+def _first_ground_red(text: str) -> int:
+    """The index of the first red zero at ground level in a G-word's text, or -1."""
+    height = 0
+    start = 0
+    red = text.find("R")
+    while red >= 0:
+        height += text.count("U", start, red) - text.count("D", start, red)
+        if height == 0:
+            break
+        start = red
+        red = text.find("R", red + 1)
+    return red
+
+
 def _text(text: str) -> str:
     """``text`` if it is a ``str`` of the five symbols; else BadAlphabet."""
     if not isinstance(text, str):
@@ -109,10 +127,14 @@ class Word:
     text: str
     _alphabet: str  # the family's letters, in enumeration order
     _family: str  # the family's name in error messages
+    _foreign: dict[int, None]  # a str.translate table deleting the family's letters
 
     def __init__(self, text: str) -> None:
-        self._check(_text(text))
+        self._check(text)
         _set_text(self, text)
+
+    def __init_subclass__(cls) -> None:
+        cls._foreign = str.maketrans(dict.fromkeys(cls._alphabet))
 
     @classmethod
     def _trusted(cls, text: str):
@@ -123,14 +145,30 @@ class Word:
 
     @classmethod
     def _check(cls, text: str) -> None:
-        alphabet = cls._alphabet
+        """Raise the first fault of ``text`` as a word of this family.
+
+        In order: not a ``str``; an unknown character anywhere; then the
+        earlier by position of a dip below zero and a letter of another
+        family; then imbalance.  The letters outside the family come from
+        one ``translate``, so the walk over the heights, up to the first
+        such letter, tests no letter's alphabet.
+        """
+        if not isinstance(text, str):
+            raise BadAlphabet(f"expected a word's text, not a {type(text).__name__}")
+        foreign = text.translate(cls._foreign)
+        if foreign:
+            unknown = foreign.translate(_UNKNOWN)
+            if unknown:
+                raise BadAlphabet(f"unknown letter {unknown[0]!r}")
+            text = text[: text.index(foreign[0])]  # the letters before the first foreign one
         height = 0
-        for i, ch in enumerate(text):
-            if ch not in alphabet:
-                raise BadAlphabet(f"{cls._family} word may not contain {ch!r} (position {i + 1})")
+        for ch in text:
             height += STEP[ch]
             if height < 0:
-                raise NegativePrefix(f"prefix sum falls below zero at position {i + 1}")
+                position = list(accumulate(map(STEP.__getitem__, text))).index(-1) + 1
+                raise NegativePrefix(f"prefix sum falls below zero at position {position}")
+        if foreign:
+            raise BadAlphabet(f"{cls._family} word may not contain {foreign[0]!r} (position {len(text) + 1})")
         if height != 0:
             raise NotBalanced(f"letters sum to {height}, not zero")
 
@@ -197,14 +235,12 @@ class RestrictedGWord(GWord):
 
     @classmethod
     def _check(cls, text: str) -> None:
+        super()._check(text)
         if not text:
             raise WordError("a restricted word has at least one letter")
-        super()._check(text)
-        height = 0
-        for i, ch in enumerate(text):
-            if ch == "R" and height == 0:
-                raise RedZeroAtGroundLevel(f"red zero at position {i + 1} sits at ground level")
-            height += STEP[ch]
+        red = _first_ground_red(text)
+        if red >= 0:
+            raise RedZeroAtGroundLevel(f"red zero at position {red + 1} sits at ground level")
 
 
 class MotzkinWord(Word):

@@ -160,6 +160,28 @@ def test_motzkin_split_examples():
     assert (d.n, d.red_positions, str(d.core)) == (3, (2,), "UD")
 
 
+def test_decompositions_are_slotted_and_survive_pickle_and_copy():
+    import copy
+    import pickle
+
+    word = gword("URGDR")
+    for decomposition in (
+        touchard_split(word),
+        motzkin_split(word),
+        TouchardDecomposition((1, 3), dyck("UD"), (True,)),
+        MotzkinDecomposition((2,), MotzkinWord("UD")),
+    ):
+        assert not hasattr(decomposition, "__dict__")
+        clones = [pickle.loads(pickle.dumps(decomposition, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in (*clones, copy.copy(decomposition), copy.deepcopy(decomposition)):
+            assert type(clone) is type(decomposition)
+            assert clone == decomposition and hash(clone) == hash(decomposition), clone
+            assert repr(clone) == repr(decomposition)
+        for name in ("core", "n", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(decomposition, name, None)
+
+
 def test_split_merge_round_trips():
     for n in range(8):
         for u in enumerate_g(n):

@@ -742,7 +742,7 @@ def test_words_are_built_from_text_only():
 
 
 def test_sizes_seeds_and_bounds_must_be_ints():
-    # A float, a bool or a str where a size, seed or bound goes raises ValueError, under -O too.
+    # A float, a bool, a str or None where a size, seed or bound goes raises ValueError, under -O too.
     calls = {
         "sample_dyck(2.5, 0)": "semilength must be a non-negative int, not 2.5",
         "sample_dyck(True, 0)": "semilength must be a non-negative int, not True",
@@ -755,10 +755,18 @@ def test_sizes_seeds_and_bounds_must_be_ints():
         "list(enumerate_g(2.5))": "length must be a non-negative int, not 2.5",
         "list(enumerate_g_restricted('3'))": "length must be a non-negative int, not '3'",
         "list(enumerate_motzkin(False))": "length must be a non-negative int, not False",
+        # The counting functions; catalan checks before its cache, where True would find catalan(1).
+        "catalan(2.5)": "n must be a non-negative int, not 2.5",
+        "catalan(True)": "n must be a non-negative int, not True",
+        "motzkin_count('3')": "k must be a non-negative int, not '3'",
+        "touchard_rhs(True)": "n must be a non-negative int, not True",
+        "motzkin_rhs(None)": "n must be a non-negative int, not None",
+        "next(g_census(2.5, 'U'))": "max_n must be a non-negative int, not 2.5",
     }
     code = textwrap.dedent(f"""
         from touchard import SplitMix64, enumerate_dyck, enumerate_g, enumerate_g_restricted
-        from touchard import enumerate_motzkin, sample_dyck
+        from touchard import catalan, enumerate_motzkin, motzkin_count, motzkin_rhs, sample_dyck, touchard_rhs
+        from touchard.counting import g_census
         for call in {list(calls)!r}:
             try:
                 eval(call)

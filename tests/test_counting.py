@@ -225,7 +225,7 @@ def test_g_census_rows_are_the_identity_terms_to_200():
 
 
 def test_g_census_rejects_a_negative_bound():
-    with pytest.raises(ValueError, match="max_n must be non-negative"):
+    with pytest.raises(ValueError, match="max_n must be a non-negative int, not -1"):
         next(g_census(-1, "U"))
 
 

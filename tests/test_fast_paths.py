@@ -2,7 +2,9 @@
 
 Exhaustive at small sizes: every word up to length 8 (semilength 9 for
 Dyck words) through the enumerators, the validators and all ten ``map``
-directions, with the same outputs and the same errors.  The enumerator's
+directions, with the same outputs and the same errors; and longer words,
+of 9 to 2,000 letters, with up to three faults planted at random slots,
+through the validators.  The enumerator's
 table of completions is also compared with its successor-only form, up to
 length 10 to 13 (semilength 11), and at 20,000 letters, where it must
 also stay within a small memory peak.  The splits, which build their results
@@ -15,6 +17,8 @@ import itertools
 import tracemalloc
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import tuple_reference as ref
 from test_bijections import all_motzkin_decompositions, all_touchard_decompositions
@@ -25,12 +29,15 @@ from touchard import (
     MotzkinWord,
     RestrictedGWord,
     TouchardDecomposition,
+    catalan_to_g,
     enumerate_dyck,
     enumerate_g,
     enumerate_g_restricted,
     enumerate_motzkin,
     motzkin_merge,
     motzkin_split,
+    pair_encode,
+    sample_dyck,
     touchard_merge,
     touchard_split,
     validate_dyck,
@@ -39,7 +46,7 @@ from touchard import (
     validate_motzkin,
 )
 from touchard.cli import _MAP_FUNCTIONS, MAP_DIRECTIONS
-from touchard.words import _completions, _paths
+from touchard.words import STEP, _completions, _paths
 
 ENUMERATORS = {
     "dyck": enumerate_dyck,
@@ -118,6 +125,61 @@ def test_text_validation_matches_reference_on_unknown_characters():
                 return text
 
             assert outcome(validate, line) == outcome(reference, line)
+
+
+def long_word(family, size, seed):
+    """A seeded valid word of ``family`` with about ``size`` letters (Dyck words have an even length)."""
+    if family == "dyck":
+        return sample_dyck((size + 1) // 2, seed).text
+    if family == "grestricted":
+        return pair_encode(sample_dyck(size, seed)).text
+    text = catalan_to_g(sample_dyck(size + 1, seed)).text
+    return text if family == "g" else text.translate(str.maketrans("GR", "HH"))
+
+
+OTHER_FAMILIES_LETTERS = {"dyck": "GRH", "g": "H", "grestricted": "H", "motzkin": "GR"}
+UNKNOWN_CHARACTERS = "Xu é\n0"
+FAULTS = ("foreign", "unknown", "dip", "extra", "ground red")
+WHERE = 2**32  # a fault's slot is where / WHERE of the way along the candidates
+
+
+def plant(text, family, fault, where):
+    """``text`` with one fault: a letter replaced by another family's letter or an
+    unknown character, or a D (a dip), a family letter, or an R inserted; the D and
+    the R go in at ground level."""
+    if fault in ("dip", "ground red"):
+        heights = itertools.accumulate((STEP.get(ch, 0) for ch in text), initial=0)  # an unknown character counts as flat
+        grounds = [i for i, height in enumerate(heights) if height == 0]
+        i = grounds[where * len(grounds) // WHERE]
+        return text[:i] + ("D" if fault == "dip" else "R") + text[i:]
+    i = where * len(text) // WHERE
+    if fault == "extra":
+        letters = FAMILY_ALPHABETS[family]
+        return text[:i] + letters[where % len(letters)].symbol + text[i:]
+    letters = OTHER_FAMILIES_LETTERS[family] if fault == "foreign" else UNKNOWN_CHARACTERS
+    return text[:i] + letters[where % len(letters)] + text[i + 1 :]
+
+
+@pytest.mark.parametrize("family", VALIDATORS)
+@given(
+    size=st.integers(9, 2000),
+    seed=st.integers(0, 2**64 - 1),
+    faults=st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, WHERE - 1)), min_size=1, max_size=3),
+)
+@example(size=2000, seed=7, faults=[("dip", 0), ("foreign", WHERE - 1)])  # a foreign letter far after a dip
+@example(size=2000, seed=7, faults=[("dip", WHERE - 1), ("foreign", 0)])  # a dip after a foreign letter
+def test_long_words_with_planted_faults_match_reference(family, size, seed, faults):
+    text = long_word(family, size, seed)
+    for fault, where in faults:
+        text = plant(text, family, fault, where)
+
+    def reference(text):
+        ref.CHECKS[family](ref.parse_letters(text))
+        return text
+
+    expected = outcome(reference, text)
+    assert outcome(VALIDATORS[family], text) == expected
+    assert outcome(CLASSES[family], text) == expected
 
 
 def map_inputs():
