@@ -26,7 +26,7 @@ from .bijections import (
     touchard_merge,
     touchard_split,
 )
-from .counting import IdentityReport, binomial, catalan, motzkin_count, motzkin_rhs, touchard_rhs
+from .counting import IdentityReport, catalan, motzkin_count, motzkin_rhs, touchard_rhs
 from .render import PathDrawing, Step, render_ascii, render_svg, to_drawing
 from .words import (
     BadAlphabet,

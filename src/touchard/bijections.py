@@ -32,7 +32,7 @@ and of the decompositions without re-checking them: each docstring gives
 the reason the output is valid, and ``touchard verify`` checks it on
 every word up to its bound, a split's structure included.  The public
 decomposition constructors and the ``parse_*_decomposition`` functions
-check the structure, core class included, whatever Python's ``-O``
+check the structure, exact core class included, whatever Python's ``-O``
 setting; ``_touchard_fault`` and ``_motzkin_fault`` are those checks, and
 ``verify`` runs the same ones on each split it walks.  Position indices
 in decompositions and in their line formats are 1-based.
@@ -176,12 +176,12 @@ def _slots_fault(positions: tuple, n: int, name: str) -> str | None:
 def _touchard_fault(positions: tuple, core: DyckWord, colors: tuple) -> str | None:
     """Why these fields do not form a ``TouchardDecomposition``, or None if they do.
 
-    The core must be a DyckWord; positions and colors tuples; colors bools;
+    The core must be exactly a DyckWord; positions and colors tuples; colors bools;
     positions one per core letter; and positions ints increasing strictly
     within 1..n, where n = len(positions) + len(colors) is the number of
     slots.  The first fault found, in that order, is the one named.
     """
-    if not isinstance(core, DyckWord):
+    if core.__class__ is not DyckWord:
         return f"the core must be a DyckWord, not a {type(core).__name__}"
     if positions.__class__ is not tuple or colors.__class__ is not tuple:
         return "positions and colors must be tuples"
@@ -195,12 +195,12 @@ def _touchard_fault(positions: tuple, core: DyckWord, colors: tuple) -> str | No
 def _motzkin_fault(red_positions: tuple, core: MotzkinWord) -> str | None:
     """Why these fields do not form a ``MotzkinDecomposition``, or None if they do.
 
-    The core must be a MotzkinWord; red positions a tuple; and red positions
+    The core must be exactly a MotzkinWord; red positions a tuple; and red positions
     ints increasing strictly within 1..n, where n = len(red_positions) +
     len(core) is the number of slots.  The first fault found, in that order,
     is the one named.
     """
-    if not isinstance(core, MotzkinWord):
+    if core.__class__ is not MotzkinWord:
         return f"the core must be a MotzkinWord, not a {type(core).__name__}"
     if red_positions.__class__ is not tuple:
         return "red positions must be a tuple"
@@ -228,15 +228,13 @@ class TouchardDecomposition:
     core: DyckWord
     colors: tuple[bool, ...]
 
-    def __init__(self, positions: Iterable[int], core: DyckWord, colors: Iterable[bool]) -> None:
+    def __new__(cls, positions: Iterable[int], core: DyckWord, colors: Iterable[bool]):
         positions = tuple(positions)
         colors = tuple(colors)
         fault = _touchard_fault(positions, core, colors)
         if fault is not None:
             raise InvalidDecomposition(fault)
-        _set_positions(self, positions)
-        _set_core(self, core)
-        _set_colors(self, colors)
+        return cls._trusted(positions, core, colors)
 
     @property
     def n(self) -> int:
@@ -276,13 +274,12 @@ class MotzkinDecomposition:
     red_positions: tuple[int, ...]
     core: MotzkinWord
 
-    def __init__(self, red_positions: Iterable[int], core: MotzkinWord) -> None:
+    def __new__(cls, red_positions: Iterable[int], core: MotzkinWord):
         red_positions = tuple(red_positions)
         fault = _motzkin_fault(red_positions, core)
         if fault is not None:
             raise InvalidDecomposition(fault)
-        _set_red_positions(self, red_positions)
-        _set_motzkin_core(self, core)
+        return cls._trusted(red_positions, core)
 
     @property
     def n(self) -> int:

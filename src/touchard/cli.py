@@ -155,15 +155,15 @@ def _roundtrip_shard(n: int, shard: int, jobs: int) -> list[tuple]:
         dyck_cores = set(chain.from_iterable(_paths(2 * k, DyckWord._alphabet) for k in range(n // 2 + 1)))
         motzkin_cores = set(chain.from_iterable(_paths(k, MotzkinWord._alphabet) for k in range(n + 1)))
 
-        def touchard_valid(split) -> bool:
-            return (split.__class__ is TouchardDecomposition and split.core.__class__ is DyckWord
-                    and split.core.text in dyck_cores
-                    and _touchard_fault(split.positions, split.core, split.colors) is None)
+        def touchard_valid(split) -> bool:  # the exact core class first, so the core has a text
+            return (split.__class__ is TouchardDecomposition
+                    and _touchard_fault(split.positions, split.core, split.colors) is None
+                    and split.core.text in dyck_cores)
 
         def motzkin_valid(split) -> bool:
-            return (split.__class__ is MotzkinDecomposition and split.core.__class__ is MotzkinWord
-                    and split.core.text in motzkin_cores
-                    and _motzkin_fault(split.red_positions, split.core) is None)
+            return (split.__class__ is MotzkinDecomposition
+                    and _motzkin_fault(split.red_positions, split.core) is None
+                    and split.core.text in motzkin_cores)
 
         own_dyck, own_restricted, own_grown = (  # each first family: its first repeated text or None, shard's words
             (None if len(distinct) == len(texts) else next(text for text, count in Counter(texts).items() if count > 1),

@@ -31,15 +31,6 @@ from typing import Iterator
 from .words import _size
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient, zero outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
 def catalan(n: int) -> int:
     """n-th Catalan number, binom(2n, n) // (n + 1); the division is exact."""
     _size(n, "n")  # before the cache, where True would find catalan(1)

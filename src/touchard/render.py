@@ -42,14 +42,7 @@ _STEP_BY_SYMBOL = {
     "H": Step(0, NEUTRAL),
 }
 _STEPS = frozenset(Step(dy, color) for dy in (-1, 0, 1) for color in (NEUTRAL, GREEN, RED))
-# The one type a step and each of its fields may have (``1.0`` and ``True`` equal
-# and hash like ``1``), tested with ``issuperset(map(type, ...))`` so the check
-# stays in C.
-_STEP_ONLY = frozenset((Step,))
-_INT_ONLY = frozenset((int,))
-_STR_ONLY = frozenset((str,))
 _dy = attrgetter("dy")
-_color = attrgetter("color")
 
 
 @dataclass(frozen=True)
@@ -69,15 +62,9 @@ class PathDrawing:
 
     def __post_init__(self) -> None:
         steps = tuple(self.steps)
-        if not (
-            _STEP_ONLY.issuperset(map(type, steps))
-            and _INT_ONLY.issuperset(map(type, map(_dy, steps)))
-            and _STR_ONLY.issuperset(map(type, map(_color, steps)))
-            and _STEPS.issuperset(steps)  # fields of exactly int and str: each step hashes
-        ):
-            bad = next(step for step in steps if type(step) is not Step or type(step.dy) is not int
-                       or type(step.color) is not str or step not in _STEPS)
-            raise ValueError(f"{bad!r} is not a unit step in {NEUTRAL}, {GREEN} or {RED}")
+        for step in steps:  # exact types first: 1.0 and True equal and hash like 1, and a list field does not hash
+            if not (type(step) is Step and type(step.dy) is int and type(step.color) is str and step in _STEPS):
+                raise ValueError(f"{step!r} is not a unit step in {NEUTRAL}, {GREEN} or {RED}")
         _set_steps(self, steps)
 
     @property

@@ -10,6 +10,7 @@ import os
 import time
 import xml.etree.ElementTree as ET
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -18,7 +19,6 @@ from touchard import (
     MotzkinDecomposition,
     RestrictedGWord,
     TouchardDecomposition,
-    binomial,
     catalan,
     catalan_to_g,
     enumerate_dyck,
@@ -125,9 +125,9 @@ def test_censuses_to_9():
             by_reds[word.text.count("R")] += 1
         assert set(by_nonzero) <= {2 * k for k in range(n // 2 + 1)}
         for k in range(n // 2 + 1):
-            assert by_nonzero[2 * k] == binomial(n, 2 * k) * 2 ** (n - 2 * k) * catalan(k)
+            assert by_nonzero[2 * k] == comb(n, 2 * k) * 2 ** (n - 2 * k) * catalan(k)
         for k in range(n + 1):
-            assert by_reds[n - k] == binomial(n, k) * motzkin_count(k)
+            assert by_reds[n - k] == comb(n, k) * motzkin_count(k)
         # the catalogue's censuses agree with this letter count
         touchard, motzkin = census["touchard", n], census["motzkin", n]
         assert touchard.ok and touchard.record["counts"] == [by_nonzero[2 * k] for k in range(n // 2 + 1)]

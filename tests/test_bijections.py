@@ -182,6 +182,24 @@ def test_decompositions_are_slotted_and_survive_pickle_and_copy():
                 setattr(decomposition, name, None)
 
 
+def test_copies_of_a_faulty_decomposition_are_rejected():
+    # Built past the check, a faulty decomposition is checked again when it is
+    # copied or unpickled: both go through the checking constructor.
+    import copy
+    import pickle
+
+    unpickled = [lambda d, p=p: pickle.loads(pickle.dumps(d, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for decomposition, message in (
+        (TouchardDecomposition._trusted((2, 1), DyckWord("UD"), ()), "positions must be strictly increasing"),
+        (TouchardDecomposition._trusted((1, 2), DyckWord("UD"), (1,)), "colors must be bools"),
+        (MotzkinDecomposition._trusted((1, 1), MotzkinWord("")), "red positions must be strictly increasing"),
+    ):
+        for clone in (copy.copy, copy.deepcopy, *unpickled):
+            with pytest.raises(InvalidDecomposition) as raised:
+                clone(decomposition)
+            assert str(raised.value) == message, (decomposition, clone)
+
+
 def test_split_merge_round_trips():
     for n in range(8):
         for u in enumerate_g(n):
@@ -236,7 +254,9 @@ def test_census_at_n3():
 
 
 def test_split_census_at_n10_matches_identity_terms():
-    from touchard import binomial, catalan, motzkin_count
+    from math import comb
+
+    from touchard import catalan, motzkin_count
 
     n = 10
     by_semilength = [0] * (n // 2 + 1)
@@ -245,9 +265,17 @@ def test_split_census_at_n10_matches_identity_terms():
         by_semilength[touchard_split(u).core.semilength] += 1
         by_core_len[len(motzkin_split(u).core)] += 1
     assert by_semilength == [
-        binomial(n, 2 * k) * 2 ** (n - 2 * k) * catalan(k) for k in range(n // 2 + 1)
+        comb(n, 2 * k) * 2 ** (n - 2 * k) * catalan(k) for k in range(n // 2 + 1)
     ]
-    assert by_core_len == [binomial(n, k) * motzkin_count(k) for k in range(n + 1)]
+    assert by_core_len == [comb(n, k) * motzkin_count(k) for k in range(n + 1)]
+
+
+class SubDyck(DyckWord):
+    __slots__ = ()
+
+
+class SubMotzkin(MotzkinWord):
+    __slots__ = ()
 
 
 # Constructor arguments each decomposition class rejects, with the message it gives.
@@ -261,6 +289,7 @@ INVALID_DECOMPOSITIONS = [
     (TouchardDecomposition, ([1, 2], validate_g("UD"), []),  # a G-word core
      "the core must be a DyckWord, not a GWord"),
     (TouchardDecomposition, ((), None, ()), "the core must be a DyckWord, not a NoneType"),
+    (TouchardDecomposition, ((1, 2), SubDyck("UD"), ()), "the core must be a DyckWord, not a SubDyck"),
     (TouchardDecomposition, (("1", "2"), dyck("UD"), ()), "positions must be ints"),  # strings
     (TouchardDecomposition, ((True, 2), dyck("UD"), ()), "positions must be ints"),  # a bool
     (TouchardDecomposition, ((1.0, 2), dyck("UD"), ()), "positions must be ints"),  # a float
@@ -272,6 +301,7 @@ INVALID_DECOMPOSITIONS = [
     (MotzkinDecomposition, ((), validate_g_restricted("URD")),  # a restricted-word core
      "the core must be a MotzkinWord, not a RestrictedGWord"),
     (MotzkinDecomposition, ((), None), "the core must be a MotzkinWord, not a NoneType"),
+    (MotzkinDecomposition, ((), SubMotzkin("UD")), "the core must be a MotzkinWord, not a SubMotzkin"),
     (MotzkinDecomposition, ((True,), validate_motzkin("")), "red positions must be ints"),  # a bool
 ]
 

@@ -1,4 +1,4 @@
-"""Catalan/Motzkin/binomial numbers and the two identity evaluators."""
+"""Catalan and Motzkin numbers, the two identity evaluators, and the G-word census."""
 
 import tracemalloc
 from collections import Counter
@@ -9,7 +9,6 @@ import pytest
 
 from touchard import (
     IdentityReport,
-    binomial,
     catalan,
     enumerate_g,
     enumerate_motzkin,
@@ -36,14 +35,6 @@ def motzkin_by_first_return(limit):
     for m in range(limit):
         values.append(values[m] + sum(values[i] * values[m - 1 - i] for i in range(m)))
     return values
-
-
-def pascal(rows):
-    triangle = [[1]]
-    for _ in range(rows):
-        last = triangle[-1]
-        triangle.append([1] + [a + b for a, b in zip(last, last[1:])] + [1])
-    return triangle
 
 
 def test_catalan_values():
@@ -104,26 +95,6 @@ def test_motzkin_table_is_thread_safe():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(motzkin_count, [300] * 16))
     assert len(set(results)) == 1
-
-
-def test_binomial_values():
-    assert binomial(5, 0) == 1
-    assert binomial(3, 2) == 3
-    assert binomial(40, 20) == 137846528820
-
-
-def test_binomial_against_pascal_oracle():
-    triangle = pascal(25)
-    for n in range(26):
-        for k in range(n + 1):
-            assert binomial(n, k) == triangle[n][k]
-
-
-def test_binomial_out_of_range():
-    assert binomial(4, -1) == 0
-    assert binomial(4, 5) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_touchard_rhs_examples():

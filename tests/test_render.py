@@ -101,6 +101,7 @@ def test_drawings_must_be_paths_of_unit_steps_on_or_above_the_axis():
         ((Step(True, NEUTRAL), down), "not a unit step"),
         ((up, Step(-1, type("Neutral", (str,), {})(NEUTRAL))), "not a unit step"),  # a str subclass
         (((1, NEUTRAL), (-1, NEUTRAL)), "not a unit step"),  # equal to Steps, but plain tuples
+        ((Step(0, "blue"), Step(1.0, NEUTRAL)), r"^Step\(dy=0, color='blue'\) is not a unit step"),  # the first named
     ):
         with pytest.raises(ValueError, match=message):
             PathDrawing(steps)
