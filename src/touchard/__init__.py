@@ -4,7 +4,8 @@ The package turns a classical pair of Catalan identities into running
 code: word types with exhaustive enumeration and uniform sampling
 (``words``), the invertible maps connecting the families
 (``bijections``), exact evaluation of both identities (``counting``),
-path drawings (``render``), and a CLI (``cli``).
+path drawings (``render``), the checks behind ``touchard verify``
+(``verify``), and a CLI (``cli``).
 """
 
 from .bijections import (

@@ -64,7 +64,7 @@ class InvalidDecomposition(ValueError):
 
 
 def _wrong_input(expected: type, given: object, error: type[ValueError] = WordError) -> ValueError:
-    """The error for a map given ``given`` where it takes an ``expected`` value."""
+    """The error for a map or line function given ``given`` where it takes an ``expected`` value."""
     return error(f"expected a {expected.__name__}, not a {type(given).__name__}")
 
 
@@ -409,12 +409,16 @@ def _parse_positions(text: str, other_slots: int) -> tuple[int, ...]:
 
 def format_touchard_decomposition(decomposition: TouchardDecomposition) -> str:
     """One-line form ``positions=[i,j,...];core=<word>;colors=<bits>``."""
+    if not isinstance(decomposition, TouchardDecomposition):
+        raise _wrong_input(TouchardDecomposition, decomposition, InvalidDecomposition)
     positions = ",".join(map(str, decomposition.positions))
     colors = bytes(decomposition.colors).translate(_COLOR_DIGITS).decode()
     return f"positions=[{positions}];core={decomposition.core.text};colors={colors}"
 
 
 def parse_touchard_decomposition(line: str) -> TouchardDecomposition:
+    if not isinstance(line, str):
+        raise _wrong_input(str, line, InvalidDecomposition)
     match = _TOUCHARD_LINE.fullmatch(line)
     if match is None:
         raise InvalidDecomposition(f"cannot parse decomposition line {line!r}")
@@ -425,11 +429,15 @@ def parse_touchard_decomposition(line: str) -> TouchardDecomposition:
 
 def format_motzkin_decomposition(decomposition: MotzkinDecomposition) -> str:
     """One-line form ``red=[i,...];core=<word>``."""
+    if not isinstance(decomposition, MotzkinDecomposition):
+        raise _wrong_input(MotzkinDecomposition, decomposition, InvalidDecomposition)
     reds = ",".join(map(str, decomposition.red_positions))
     return f"red=[{reds}];core={decomposition.core.text}"
 
 
 def parse_motzkin_decomposition(line: str) -> MotzkinDecomposition:
+    if not isinstance(line, str):
+        raise _wrong_input(str, line, InvalidDecomposition)
     match = _MOTZKIN_LINE.fullmatch(line)
     if match is None:
         raise InvalidDecomposition(f"cannot parse decomposition line {line!r}")

@@ -50,18 +50,23 @@ class PathDrawing:
     """A path as drawable steps, starting at the origin and ending on the axis.
 
     ``steps`` is stored as a tuple whatever iterable holds them.  Raises
-    ValueError unless each step is a ``Step`` that rises, falls or stays
-    level by one unit (an ``int``) in a known color (a ``str``), and the path never dips below the
-    axis and ends on it, as every drawing of a word does.  ``_levels``, the
-    height before each step followed by the final height, is the one
-    height walk behind that check, ``height`` and both renderers.
+    ValueError unless ``steps`` is iterable, each step is a ``Step`` that
+    rises, falls or stays level by one unit (an ``int``) in a known color (a
+    ``str``), and the path never dips below the axis and ends on it, as
+    every drawing of a word does.  ``_levels``, the height before each step
+    followed by the final height, is the one height walk behind that check,
+    ``height`` and both renderers.
     """
 
     steps: tuple[Step, ...]
     _levels: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        steps = tuple(self.steps)
+        try:
+            steps = iter(self.steps)
+        except TypeError:
+            raise ValueError(f"steps must be an iterable of Steps, not a {type(self.steps).__name__}") from None
+        steps = tuple(steps)
         for step in steps:  # exact types first: 1.0 and True equal and hash like 1, and a list field does not hash
             if not (type(step) is Step and type(step.dy) is int and type(step.color) is str and step in _STEPS):
                 raise ValueError(f"{step!r} is not a unit step in {NEUTRAL}, {GREEN} or {RED}")
@@ -99,15 +104,23 @@ def to_drawing(word: Word) -> PathDrawing:
     return _set_steps(object.__new__(PathDrawing), tuple(map(_STEP_BY_SYMBOL.__getitem__, word.text)))
 
 
+def _levels_of(drawing: PathDrawing) -> tuple[int, ...]:
+    """A drawing's ``_levels``; ValueError for anything but a ``PathDrawing``."""
+    if not isinstance(drawing, PathDrawing):
+        raise ValueError(f"expected a PathDrawing, not a {type(drawing).__name__}")
+    return drawing._levels
+
+
 def render_ascii(drawing: PathDrawing) -> str:
     """Character grid: '/' up, '\\' down, '-' green or plain flat, '=' red flat.
 
     A glyph sits in the row of the lower of its step's two end heights, so '/' and
     '\\' fill the cell between their endpoints, flats sit at their level, and a single
     arch is the one-line ``/\\``.  Rows are padded with spaces to the word's length;
-    the grid is at least one row tall.
+    the grid is at least one row tall.  ValueError unless ``drawing`` is a
+    ``PathDrawing``.
     """
-    levels = drawing._levels
+    levels = _levels_of(drawing)
     rows = list(map(min, levels, levels[1:]))
     grid = [[" "] * drawing.width for _ in range(max(rows, default=0) + 1)]
     for column, (row, step) in enumerate(zip(rows, drawing.steps)):
@@ -122,16 +135,16 @@ _STROKE_BY_COLOR = {NEUTRAL: NEUTRAL_HEX, GREEN: GREEN_HEX, RED: RED_HEX}
 def render_svg(drawing: PathDrawing, unit: int = 20) -> str:
     """Standalone SVG with one line element per step.
 
-    ``unit``, the pixel width of a step, must be a positive int (ValueError
-    otherwise).  The y-axis is flipped so height increases upward; all
-    coordinates are integers, keeping the output byte-stable.  The x-axis
-    is drawn as a dashed gray line, so a red step resting on it would be
-    visible at a glance.
+    ``drawing`` must be a ``PathDrawing`` and ``unit``, the pixel width of a
+    step, a positive int (ValueError otherwise).  The y-axis is flipped so
+    height increases upward; all coordinates are integers, keeping the
+    output byte-stable.  The x-axis is drawn as a dashed gray line, so a red
+    step resting on it would be visible at a glance.
     """
     if type(unit) is not int or unit <= 0:
         raise ValueError(f"unit must be a positive int, not {unit!r}")
     margin = unit
-    levels = drawing._levels
+    levels = _levels_of(drawing)
     top = max(levels)
     width = drawing.width * unit + 2 * margin
     height = top * unit + 2 * margin

@@ -450,24 +450,33 @@ class SplitMix64:
                 yield from map(self.below, chunk)
 
 
-def sample_dyck(n: int, seed: int) -> DyckWord:
-    """Uniform random Dyck word of semilength n; same seed, same word.
+def _shuffled_dyck(n: int, indices: Iterable[int]) -> str:
+    """The Dyck text of semilength n that one Fisher-Yates shuffle gives by the cycle lemma.
 
-    Cycle-lemma construction: shuffle n+1 up-steps and n down-steps.
-    Of the 2n+1 rotations of that word exactly one keeps every proper
-    prefix sum strictly positive (it starts just after the last minimum
-    of the prefix sums).  Dropping its leading up-step leaves a Dyck
-    word, and each Dyck word arises from exactly 2n+1 of the equally
-    likely shuffles, so the output is exactly uniform over C_n.  The
-    shuffle's indices are those of one ``below`` per step, drawn in chunks.
+    ``indices`` are the shuffle's swap indices, j <= i for i = 2n down to 1.
+    The shuffle permutes n+1 up-steps and n down-steps.  Of the 2n+1
+    rotations of that word exactly one keeps every proper prefix sum
+    strictly positive (it starts just after the last minimum of the prefix
+    sums).  Dropping its leading up-step leaves a Dyck word, and each Dyck
+    word arises from exactly (2n+1)!/C_n of the (2n+1)! index sequences.
     """
-    _size(n, "semilength")
     steps = ["U"] * (n + 1) + ["D"] * n
-    draws = SplitMix64(seed).below_each(range(2 * n + 1, 1, -1))
-    for i, j in zip(range(2 * n, 0, -1), draws):  # Fisher-Yates: j = below(i + 1)
+    for i, j in zip(range(2 * n, 0, -1), indices):
         steps[i], steps[j] = steps[j], steps[i]
     sums = list(accumulate(map(STEP.__getitem__, steps), initial=0))
     low = min(sums)
     cut = len(sums) - 1 - sums[::-1].index(low)  # just after the last minimum
     rotated = "".join(steps[cut:] + steps[:cut])
-    return DyckWord._trusted(rotated[1:])
+    return rotated[1:]
+
+
+def sample_dyck(n: int, seed: int) -> DyckWord:
+    """Uniform random Dyck word of semilength n; same seed, same word.
+
+    The word is ``_shuffled_dyck`` of a uniform Fisher-Yates shuffle, whose
+    index j for step i is one ``below(i + 1)``, drawn in chunks.  Each Dyck
+    word arises from the same number of index sequences, so the output is
+    exactly uniform over C_n.
+    """
+    _size(n, "semilength")
+    return DyckWord._trusted(_shuffled_dyck(n, SplitMix64(seed).below_each(range(2 * n + 1, 1, -1))))

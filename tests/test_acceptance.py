@@ -36,7 +36,7 @@ from touchard import (
     touchard_rhs,
     touchard_split,
 )
-from touchard.cli import VerifyConfig, run_checks
+from touchard.verify import VerifyConfig, run_checks
 
 STEP = {"U": 1, "D": -1, "G": 0, "R": 0}  # each letter's step in height, independent of the package
 
@@ -231,7 +231,7 @@ def test_mutations_are_detected(monkeypatch):
     assert all(check.ok for check in catalogue("roundtrip", max_roundtrip_len=4))
     for name, target, fault in PLANTED_FAULTS:
         with monkeypatch.context() as patch:
-            patch.setattr(f"touchard.cli.{target}", fault)
+            patch.setattr(f"touchard.verify.{target}", fault)
             checks = [c for c in catalogue("roundtrip", max_roundtrip_len=4) if c.record["bijection"] == name]
         failed = [c for c in checks if not c.ok]
         assert failed, name
@@ -245,7 +245,7 @@ def test_mutations_are_detected(monkeypatch):
 def test_planted_faults_give_the_same_records_at_any_job_count(monkeypatch):
     for _, target, fault in PLANTED_FAULTS:
         with monkeypatch.context() as patch:
-            patch.setattr(f"touchard.cli.{target}", fault)
+            patch.setattr(f"touchard.verify.{target}", fault)
             one, two = (catalogue("roundtrip", max_roundtrip_len=4, cpus=cpus) for cpus in (1, 2))
         assert any(not check.ok for check in one), target
         assert one == two, target
@@ -286,7 +286,7 @@ def test_round_trips_force_core_sizes(monkeypatch, name):
     real_split = touchard_split if name == "touchard_split" else motzkin_split
     for cpus in (1, 2):
         with monkeypatch.context() as patch:
-            patch.setattr(f"touchard.cli.{name}", fault)
+            patch.setattr(f"touchard.verify.{name}", fault)
             checks = catalogue("roundtrip", max_roundtrip_len=4, cpus=cpus)
         assert all(check.ok for check in checks if check.record["bijection"] != name)
         for check in (check for check in checks if check.record["bijection"] == name):

@@ -351,16 +351,17 @@ def test_maps_reject_words_of_other_families():
             else:
                 with pytest.raises(WordError, match=f"expected a {takes.__name__}"):
                     fn(word)
-    # The merges take only their own decomposition type.
+    # The merges and the line formatters take only their own decomposition type.
     word = validate_g("URD")
-    for merge, own, other in (
-        (touchard_merge, touchard_split(word), motzkin_split(word)),
-        (motzkin_merge, motzkin_split(word), touchard_split(word)),
+    for merge, format_line, own, other in (
+        (touchard_merge, format_touchard_decomposition, touchard_split(word), motzkin_split(word)),
+        (motzkin_merge, format_motzkin_decomposition, motzkin_split(word), touchard_split(word)),
     ):
         assert merge(own) == word
-        for wrong in (other, word):
-            with pytest.raises(InvalidDecomposition, match="expected a"):
-                merge(wrong)
+        for fn in (merge, format_line):
+            for wrong in (other, word, "x"):
+                with pytest.raises(InvalidDecomposition, match="^expected a"):
+                    fn(wrong)
 
 
 def test_decomposition_line_formats():
@@ -399,6 +400,11 @@ def test_decomposition_parse_errors():
         parse_motzkin_decomposition("red=[1];core=G")  # G is not a Motzkin letter
     with pytest.raises(ValueError):
         parse_touchard_decomposition("positions=[];core=DU;colors=")  # invalid core
+    # A line is a str.
+    with pytest.raises(InvalidDecomposition, match="^expected a str, not a int$"):
+        parse_touchard_decomposition(5)
+    with pytest.raises(InvalidDecomposition, match="^expected a str, not a NoneType$"):
+        parse_motzkin_decomposition(None)
 
 
 @given(fields=st.lists(st.text("0123456789", min_size=1, max_size=12), max_size=6), flats=st.integers(0, 12))

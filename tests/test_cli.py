@@ -31,7 +31,8 @@ from touchard import (
     touchard_merge,
     touchard_split,
 )
-from touchard.cli import MAX_JOBS, VerifyConfig, build_parser, cmd_verify, main, resolve_jobs, run_checks
+from touchard.cli import build_parser, main
+from touchard.verify import MAX_JOBS, VerifyConfig, cmd_verify, resolve_jobs, run_checks
 
 U_G_2 = "UD\nGG\nGR\nRG\nRR\n"
 
@@ -290,7 +291,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     def faulty_drop(word):
         return GWord(real_drop(word).text.translate(swap))
 
-    monkeypatch.setattr("touchard.cli.drop_restriction", faulty_drop)
+    monkeypatch.setattr("touchard.verify.drop_restriction", faulty_drop)
     pin_cpus(monkeypatch, 2)
     argv = ["verify", "--max-identity-n", "0", "--max-census-n", "0", "--max-roundtrip-len", "3"]
     status, out, err = run(argv, capsys)
@@ -340,14 +341,14 @@ TABLE_FAULTS = {
 
 @pytest.mark.parametrize("fault", TABLE_FAULTS)
 def test_verify_fails_a_census_counted_from_a_faulty_table(capsys, monkeypatch, fault):
-    from touchard import cli, counting
+    from touchard import counting, verify
 
     text, faulty = TABLE_FAULTS[fault]
     source = inspect.getsource(counting.g_census)
     assert source.count(text) == 1
     namespace = dict(vars(counting))
     exec(compile(source.replace(text, faulty), counting.__file__, "exec"), namespace)
-    monkeypatch.setattr(cli, "g_census", namespace["g_census"])
+    monkeypatch.setattr(verify, "g_census", namespace["g_census"])
     status, out, err = run(["verify", "--max-identity-n", "0", "--max-census-n", "6", "--max-roundtrip-len", "0"],
                            capsys)
     failed = [line for line in out.splitlines() if line.endswith(" ok=false")]
@@ -382,7 +383,7 @@ def test_verify_names_the_first_failing_word_whatever_its_shard(capsys, monkeypa
         broken = str(merged) in {G_3[i] for i in failing}
         return GWord(G_3[0] if broken else str(merged))
 
-    monkeypatch.setattr("touchard.cli.touchard_merge", faulty_merge)
+    monkeypatch.setattr("touchard.verify.touchard_merge", faulty_merge)
     assert (G_3[3], G_3[8]) == ("UDR", "GRR")
     failing_line = "roundtrip=touchard_split n=3 words=14 ok=false"
     assert_only_failure(capsys, monkeypatch, failing_line, G_3[min(failing)])
@@ -397,7 +398,7 @@ def test_verify_names_the_empty_word(capsys, monkeypatch):
         merged = real_merge(decomposition)
         return GWord("G") if merged.text == "" else merged
 
-    monkeypatch.setattr("touchard.cli.touchard_merge", faulty_merge)
+    monkeypatch.setattr("touchard.verify.touchard_merge", faulty_merge)
     assert_only_failure(capsys, monkeypatch, "roundtrip=touchard_split n=0 words=1 ok=false", "")
 
 
@@ -408,7 +409,7 @@ def test_verify_names_a_first_family_word_not_a_target_one(capsys, monkeypatch):
     # alone, whichever shard holds the failure, and names GGUD.
     from touchard import drop_restriction as real_drop
 
-    monkeypatch.setattr("touchard.cli.drop_restriction",
+    monkeypatch.setattr("touchard.verify.drop_restriction",
                         lambda word: GWord("GGG") if word.text == "GGUD" else real_drop(word))
     assert_only_failure(capsys, monkeypatch, "roundtrip=restriction n=3 words=28 ok=false", "GGUD")
 
@@ -418,9 +419,9 @@ def test_roundtrip_shards_walk_every_word_once_in_order(monkeypatch, jobs):
     # Each check walks its first family alone, through its forward map: the
     # shards' slices, read in shard order, are that family in enumeration
     # order, and the words the shards report walking sum to its size.
-    from touchard import cli
+    from touchard import verify
 
-    real_first_failure = cli._first_failure
+    real_first_failure = verify._first_failure
     seen = {}
 
     def recording_first_failure(words, forward, backward, valid):
@@ -429,10 +430,10 @@ def test_roundtrip_shards_walk_every_word_once_in_order(monkeypatch, jobs):
             return forward(word)
         return real_first_failure(words, record, backward, valid)
 
-    monkeypatch.setattr(cli, "_first_failure", recording_first_failure)
+    monkeypatch.setattr(verify, "_first_failure", recording_first_failure)
     for n in range(7):
         seen.clear()
-        shards = [cli._roundtrip_shard(n, shard, jobs) for shard in range(jobs)]
+        shards = [verify._roundtrip_shard(n, shard, jobs) for shard in range(jobs)]
         dyck = [str(word) for word in enumerate_dyck(n + 1)]
         restricted = [str(word) for word in enumerate_g_restricted(n + 1)]
         grown = [str(word) for word in enumerate_g(n)]
@@ -452,24 +453,24 @@ def test_roundtrip_shards_run_without_the_cycle_collector_and_make_no_cycles(mon
     # so turning it off cannot make memory grow.
     import gc
 
-    from touchard import cli
+    from touchard import verify
 
-    real_first_failure = cli._first_failure
+    real_first_failure = verify._first_failure
     collecting = []
 
     def recording_first_failure(*args):
         collecting.append(gc.isenabled())
         return real_first_failure(*args)
 
-    monkeypatch.setattr(cli, "_first_failure", recording_first_failure)
+    monkeypatch.setattr(verify, "_first_failure", recording_first_failure)
     was_enabled = gc.isenabled()
     try:
         gc.enable()
-        cli._roundtrip_shard(3, 0, 1)
+        verify._roundtrip_shard(3, 0, 1)
         assert gc.isenabled() and collecting == [False] * 4
         gc.collect()
         gc.disable()
-        cli._roundtrip_shard(7, 0, 1)
+        verify._roundtrip_shard(7, 0, 1)
         assert not gc.isenabled()
         assert gc.collect() == 0
     finally:
@@ -516,30 +517,30 @@ def test_one_sided_walk_gives_the_two_sided_results(monkeypatch, fault, cpus):
     # Walking each check from its first family alone gives, fault for fault,
     # the lines, verdicts and counterexamples of walking both families.
     import tuple_reference as ref
-    from touchard import cli
+    from touchard import verify
 
     target, faulty = ONE_SIDED_FAULTS[fault]
-    monkeypatch.setattr(cli, target, faulty)
+    monkeypatch.setattr(verify, target, faulty)
     pin_cpus(monkeypatch, cpus)
     config = VerifyConfig(max_identity_n=0, max_census_n=0, max_roundtrip_len=5)
     checks = [(c.line, c.ok, c.counterexample) for c in run_checks(config) if c.record["check"] == "roundtrip"]
-    maps = {name: getattr(cli, name) for name in ref.ROUNDTRIP_MAPS}
+    maps = {name: getattr(verify, name) for name in ref.ROUNDTRIP_MAPS}
     assert checks == [check for n in range(6) for check in ref.two_sided_roundtrips(n, maps)]
     assert not all(ok for _, ok, _ in checks)
 
 
 def _enumerating(monkeypatch, edit):
     """Make ``verify``'s enumerator pass each list of texts through ``edit(texts, length, alphabet, ground_red_ok)``."""
-    from touchard import cli
+    from touchard import verify
 
-    real_paths = cli._paths
+    real_paths = verify._paths
 
     def paths(length, alphabet, ground_red_ok=True):
         texts = list(real_paths(length, alphabet, ground_red_ok))
         edit(texts, length, alphabet, ground_red_ok)
         return iter(texts)
 
-    monkeypatch.setattr(cli, "_paths", paths)
+    monkeypatch.setattr(verify, "_paths", paths)
 
 
 def test_verify_fails_a_first_family_with_a_repeated_word(capsys, monkeypatch):
@@ -589,8 +590,8 @@ def test_verify_rejects_images_of_the_wrong_class_or_length_at_2_jobs(monkeypatc
     first_dyck = [(n, "U" * (n + 1) + "D" * (n + 1)) for n in range(4)]
     with monkeypatch.context() as patch:
         # the right text as a GWord, which decode undoes: only its class is wrong
-        patch.setattr("touchard.cli.pair_encode", lambda word: GWord(str(pair_encode(word))))
-        patch.setattr("touchard.cli.pair_decode", lambda word: pair_decode(RestrictedGWord(str(word))))
+        patch.setattr("touchard.verify.pair_encode", lambda word: GWord(str(pair_encode(word))))
+        patch.setattr("touchard.verify.pair_decode", lambda word: pair_decode(RestrictedGWord(str(word))))
         assert failed(run_checks(config)) == first_dyck
     with monkeypatch.context() as patch:
         # a trailing green zero that decode drops again: a restricted word, one letter too long
@@ -605,8 +606,8 @@ def test_verify_rejects_images_of_the_wrong_class_or_length_at_2_jobs(monkeypatc
             text = str(word)
             return pair_decode(RestrictedGWord(text[:-1] if text in padded else text))
 
-        patch.setattr("touchard.cli.pair_encode", encode)
-        patch.setattr("touchard.cli.pair_decode", decode)
+        patch.setattr("touchard.verify.pair_encode", encode)
+        patch.setattr("touchard.verify.pair_decode", decode)
         assert failed(run_checks(config)) == first_dyck
 
 
@@ -789,7 +790,7 @@ def test_verify_config_rejects_bad_bounds_and_formats():
         "VerifyConfig(max_identity_n=True)": "max_identity_n must be a non-negative int, not True",
     }
     code = textwrap.dedent(f"""
-        from touchard.cli import VerifyConfig
+        from touchard.verify import VerifyConfig
         for call in {list(calls)!r}:
             try:
                 eval(call)
@@ -809,6 +810,7 @@ def test_verify_checks_map_outputs_under_optimize():
     code = textwrap.dedent("""
         import sys
         import touchard.cli as cli
+        import touchard.verify as verify
         from touchard.bijections import drop_restriction, raise_restriction
         from touchard.words import GWord
 
@@ -828,7 +830,7 @@ def test_verify_checks_map_outputs_under_optimize():
             raised.add(lifted.text)
             return lifted
 
-        cli.drop_restriction, cli.raise_restriction = drop, lift
+        verify.drop_restriction, verify.raise_restriction = drop, lift
         sys.exit(cli.main(["verify", "--max-identity-n", "0", "--max-census-n", "0",
                            "--max-roundtrip-len", "4"]))
     """)
@@ -886,15 +888,16 @@ def test_verify_fails_each_split_with_a_faulty_structure():
     code = SPLIT_FAULTS + textwrap.dedent("""
         import contextlib, io, json, os, re
         import touchard.cli as cli
+        import touchard.verify as verify
 
         for name, (target, fault) in FAULTS.items():
             for cpus in (1, 2):
                 os.sched_getaffinity = lambda pid: set(range(cpus))
-                real, out, err = getattr(cli, target), io.StringIO(), io.StringIO()
-                setattr(cli, target, fault)
+                real, out, err = getattr(verify, target), io.StringIO(), io.StringIO()
+                setattr(verify, target, fault)
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     status = cli.main(["verify", "--max-roundtrip-len", "5"])
-                setattr(cli, target, real)
+                setattr(verify, target, real)
                 check = re.fullmatch(r"verify: first failing check: roundtrip=(\\w+) n=(\\d+) words=\\d+ ok=false "
                                      r"counterexample=(\\w*)\\n", err.getvalue())
                 found = [check[1], int(check[2]), check[3]] if check else [err.getvalue()]
@@ -946,10 +949,32 @@ def test_verify_on_one_cpu_starts_no_process():
     assert len(out.splitlines()) == 2 + 4 * 5 + 2 * 5
 
 
+def test_cli_runs_verify_from_the_verify_module():
+    # The benchmark reaches both names through touchard.cli.
+    import touchard.cli
+    import touchard.verify
+
+    assert touchard.cli.VerifyConfig is touchard.verify.VerifyConfig
+    assert touchard.cli.cmd_verify is touchard.verify.cmd_verify
+
+
+def test_verify_runs_without_the_cli():
+    code = PIN_TWO_CPUS + textwrap.dedent("""
+        import sys
+        from touchard.verify import VerifyConfig, run_checks
+
+        checks = list(run_checks(VerifyConfig(0, 0, 2)))
+        print(len(checks), all(check.ok for check in checks), "touchard.cli" in sys.modules)
+    """)
+    # 2 identity lines, 3 sizes x 4 round trips, 2 census lines
+    assert run_python("-c", code) == (0, "16 True False\n", "")
+
+
 def test_unexpected_exception_in_a_worker_is_the_same_error_line():
     code = textwrap.dedent("""
         import os, sys
         import touchard.cli as cli
+        import touchard.verify as verify
 
         def broken(word):
             if len(word) == 3:
@@ -957,7 +982,7 @@ def test_unexpected_exception_in_a_worker_is_the_same_error_line():
             return word
 
         os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
-        cli.drop_restriction = broken
+        verify.drop_restriction = broken
         sys.exit(cli.main(["verify", "--max-identity-n", "1", "--max-census-n", "0",
                            "--max-roundtrip-len", "4"]))
     """)
@@ -975,6 +1000,7 @@ def test_verify_fails_when_a_worker_dies():
     code = PIN_TWO_CPUS + textwrap.dedent("""
         import multiprocessing, signal, sys
         import touchard.cli as cli
+        import touchard.verify as verify
         from touchard import touchard_split
 
         def dying(word):
@@ -982,7 +1008,7 @@ def test_verify_fails_when_a_worker_dies():
                 os.kill(os.getpid(), signal.SIGKILL)
             return touchard_split(word)
 
-        cli.touchard_split = dying
+        verify.touchard_split = dying
         status = cli.main(["verify", "--max-identity-n", "0", "--max-census-n", "5",
                            "--max-roundtrip-len", "5"])
         sys.exit(status if not multiprocessing.active_children() else 3)

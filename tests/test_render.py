@@ -56,6 +56,10 @@ def test_to_drawing_rejects_what_is_not_a_word():
         to_drawing("UD")
     with pytest.raises(WordError, match="^expected a Word, not a NoneType$"):
         to_drawing(None)
+    # and the renderers what is not a drawing
+    for render in (render_ascii, render_svg):
+        with pytest.raises(ValueError, match="^expected a PathDrawing, not a str$"):
+            render("UD")
 
 
 def checked_drawing(text):
@@ -102,6 +106,7 @@ def test_drawings_must_be_paths_of_unit_steps_on_or_above_the_axis():
         ((up, Step(-1, type("Neutral", (str,), {})(NEUTRAL))), "not a unit step"),  # a str subclass
         (((1, NEUTRAL), (-1, NEUTRAL)), "not a unit step"),  # equal to Steps, but plain tuples
         ((Step(0, "blue"), Step(1.0, NEUTRAL)), r"^Step\(dy=0, color='blue'\) is not a unit step"),  # the first named
+        (5, "^steps must be an iterable of Steps, not a int$"),
     ):
         with pytest.raises(ValueError, match=message):
             PathDrawing(steps)

@@ -1,6 +1,7 @@
 """Word types, validation, enumeration, text codec, and sampling."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -33,7 +34,7 @@ from touchard import (
     validate_g_restricted,
     validate_motzkin,
 )
-from touchard.words import _CHUNK
+from touchard.words import _CHUNK, _shuffled_dyck
 
 import tuple_reference as ref
 
@@ -344,6 +345,18 @@ def test_sample_dyck_spread_over_c6():
     counts = Counter(str(sample_dyck(6, seed)) for seed in range(10000))
     assert len(counts) == 132
     assert max(counts.values()) / min(counts.values()) < 2.0
+
+
+def test_shuffle_to_word_step_is_exact():
+    # Every Fisher-Yates index sequence (j <= i for i = 2n down to 1) through
+    # the cycle-lemma step: each Dyck word arises exactly (2n+1)!/C_n times, so
+    # a uniform shuffle gives an exactly uniform word.  The statistical tests
+    # above are then left to test SplitMix64's draws.
+    for n in range(4):
+        sequences = itertools.product(*(range(i + 1) for i in range(2 * n, 0, -1)))
+        counts = Counter(_shuffled_dyck(n, indices) for indices in sequences)
+        assert sorted(counts) == sorted(str(word) for word in enumerate_dyck(n))
+        assert set(counts.values()) == {math.factorial(2 * n + 1) * (n + 1) // math.comb(2 * n, n)}
 
 
 @given(n=st.integers(0, 10), seed=st.integers(0, 2**64 - 1))
