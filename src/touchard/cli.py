@@ -6,8 +6,8 @@ and ``sample``.  Words travel in the one-letter-per-character encoding
 (U/D/G/R/H), one word per line.
 
 Exit codes: 0 success, 1 verification or validation failure, 2 usage
-error.  This module parses arguments and reads and writes lines;
-``verify``'s checks live in ``touchard.verify``.
+error, 130 interrupted (Ctrl-C).  This module parses arguments and
+reads and writes lines; ``verify``'s checks live in ``touchard.verify``.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from .words import (
     GWord,
     MotzkinWord,
     RestrictedGWord,
-    _paths,
-    _size,
+    _texts,
     sample_dyck,
     validate_dyck,
     validate_g,
@@ -84,22 +83,15 @@ def cmd_map(direction: str, lines: Iterable[str], out: IO[str], err: IO[str]) ->
     return status
 
 
-_ENUMERATED = {  # each family's words as texts, for its --length (for dyck, the semilength)
-    "dyck": lambda n: _paths(2 * n, DyckWord._alphabet),
-    "g": lambda n: _paths(n, GWord._alphabet),
-    "grestricted": lambda n: _paths(n, RestrictedGWord._alphabet, ground_red_ok=False) if n else iter(()),
-    "motzkin": lambda n: _paths(n, MotzkinWord._alphabet),
-}
+_ENUMERATED = {"dyck": DyckWord, "g": GWord, "grestricted": RestrictedGWord, "motzkin": MotzkinWord}
 
 
 def cmd_enumerate(kind: str, length: int, count_only: bool, out: IO[str]) -> int:
     """List every word of the family (for dyck, ``length`` is the semilength).
 
-    The lines are the enumerator's texts, written as they come: no word
-    object is made, and restricted words of length 0 list nothing.
+    The lines are ``_texts``' texts, written as they come: no word object is made.
     """
-    _size(length, "semilength" if kind == "dyck" else "length")
-    texts = _ENUMERATED[kind](length)
+    texts = _texts(_ENUMERATED[kind], length)
     if count_only:
         out.write(f"{sum(1 for _ in texts)}\n")
     else:
@@ -122,15 +114,9 @@ def cmd_count(which: str, n: int, out: IO[str]) -> int:
     return 0
 
 
-def _parse_any_word(line: str):
-    if "H" in line:
-        return validate_motzkin(line)
-    return validate_g(line)
-
-
 def cmd_render(fmt: str, line: str, unit: int, out: IO[str]) -> int:
     """Draw one word as ASCII art or as an SVG document."""
-    drawing = to_drawing(_parse_any_word(line))
+    drawing = to_drawing(validate_motzkin(line) if "H" in line else validate_g(line))
     if fmt == "ascii":
         out.write(render_ascii(drawing) + "\n")
     else:
@@ -226,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; every failure is one ``error:`` line and exit status 1."""
+    """Run one subcommand; every failure is one ``error:`` line and exit status 1 (130 if interrupted)."""
     args = build_parser().parse_args(argv)
     # Exact values print in full, past CPython's int-to-str digit limit (3.10.7 and later).
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -242,6 +228,9 @@ def main(argv: list[str] | None = None) -> int:
         # output at interpreter exit does not fail a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except KeyboardInterrupt:  # verify's workers are already stopped: cmd_verify closes its checks
+        sys.stderr.write("error: interrupted\n")
+        return 130
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

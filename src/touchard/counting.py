@@ -78,7 +78,11 @@ class IdentityReport:
         self.__dict__.update(per_k_terms=terms, rhs=rhs, holds=self.lhs == rhs)
 
     def format_line(self) -> str:
-        """Machine-readable line, e.g. ``n=3 lhs=14 rhs=14 holds=true terms=8,6``."""
+        """Machine-readable line, e.g. ``n=3 lhs=14 rhs=14 holds=true terms=8,6``.
+
+        From n = 7,152 on, C_{n+1} passes CPython's 4,300-digit int-to-str limit: this raises
+        its ValueError unless the caller lifts it (``sys.set_int_max_str_digits``), as ``cli.main`` does.
+        """
         terms = ",".join(str(t) for t in self.per_k_terms)
         flag = "true" if self.holds else "false"
         return f"n={self.n} lhs={self.lhs} rhs={self.rhs} holds={flag} terms={terms}"

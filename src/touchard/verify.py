@@ -33,7 +33,7 @@ from .bijections import (
     touchard_split,
 )
 from .counting import g_census, motzkin_rhs, touchard_rhs
-from .words import DyckWord, GWord, MotzkinWord, RestrictedGWord, Word, _paths, _size
+from .words import DyckWord, GWord, MotzkinWord, RestrictedGWord, Word, _size, _texts
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,12 @@ def _roundtrip_shard(n: int, shard: int, jobs: int) -> list[tuple]:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        dyck = list(_paths(2 * n + 2, DyckWord._alphabet))
-        restricted = list(_paths(n + 1, RestrictedGWord._alphabet, ground_red_ok=False))
-        grown = list(_paths(n, GWord._alphabet))
+        dyck = list(_texts(DyckWord, n + 1))
+        restricted = list(_texts(RestrictedGWord, n + 1))
+        grown = list(_texts(GWord, n))
         restricted_set, grown_set = set(restricted), set(grown)
-        dyck_cores = set(chain.from_iterable(_paths(2 * k, DyckWord._alphabet) for k in range(n // 2 + 1)))
-        motzkin_cores = set(chain.from_iterable(_paths(k, MotzkinWord._alphabet) for k in range(n + 1)))
+        dyck_cores = set(chain.from_iterable(_texts(DyckWord, k) for k in range(n // 2 + 1)))
+        motzkin_cores = set(chain.from_iterable(_texts(MotzkinWord, k) for k in range(n + 1)))
 
         def touchard_valid(split) -> bool:  # the exact core class first, so the core has a text
             return (split.__class__ is TouchardDecomposition
@@ -248,9 +248,10 @@ def _shard_results(sizes: range, jobs: int) -> Iterator[Iterator[list]]:
     try:
         for w in range(jobs):
             receiver, sender = context.Pipe(duplex=False)
-            workers.append(context.Process(target=work, args=(w, sender), daemon=True))
+            worker = context.Process(target=work, args=(w, sender), daemon=True)
+            worker.start()  # listed once started: only a started worker can be stopped
+            workers.append(worker)
             receivers.append(receiver)
-            workers[w].start()
             sender.close()  # the worker holds the only write end, so its death ends the pipe
         yield (list(map(result, workers, receivers)) for _ in sizes)
     finally:
@@ -287,7 +288,9 @@ def cmd_verify(cfg: VerifyConfig, out: IO[str], err: IO[str]) -> int:
     """Print one line (or ndjson record) per check of ``run_checks``.
 
     Returns 0 only if every check passes; otherwise names the first
-    failure, with its counterexample if it has one, on ``err``.
+    failure, with its counterexample if it has one, on ``err``.  From
+    ``max_identity_n`` = 7,152 on, this raises ``IdentityReport.format_line``'s
+    digit-limit ValueError unless the caller lifts the limit, as ``cli.main`` does.
     """
     first_failure: Check | None = None
     with closing(run_checks(cfg)) as checks:  # an early exit stops the workers at once

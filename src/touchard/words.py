@@ -32,7 +32,8 @@ their validity, and ``touchard verify`` checks the maps' outputs
 explicitly.
 
 ``Letter``, ``Word.letters`` and ``parse_letters`` remain as a view of a
-word as a tuple of ``Letter`` members; nothing in the package reads it.
+word as a tuple of ``Letter`` members; nothing in the package reads it, but
+the benchmark's tracer wraps ``parse_letters`` and counts with ``Word.letters``.
 
 Enumeration is lexicographic under the letter order of each class's
 alphabet: U < D for Dyck words, U < G < R < D for G-words and
@@ -340,13 +341,25 @@ def _size(n: int, what: str) -> None:
         raise ValueError(f"{what} must be a non-negative int, not {n!r}")
 
 
+def _texts(cls: type[Word], size: int) -> Iterator[str]:
+    """The texts of ``cls``'s words of ``size`` letters (for DyckWord, the semilength), in enumeration order.
+
+    Checks ``size`` at once; the Dyck doubling and the restricted words' rules live here alone.
+    """
+    _size(size, "semilength" if cls is DyckWord else "length")
+    if cls is DyckWord:
+        return _paths(2 * size, cls._alphabet)
+    if cls is RestrictedGWord:
+        return _paths(size, cls._alphabet, ground_red_ok=False) if size else iter(())
+    return _paths(size, cls._alphabet)
+
+
 def enumerate_dyck(n: int) -> Iterator[DyckWord]:
     """All Dyck words of semilength n, lexicographically (U before D).
 
     Yields catalan(n) words.
     """
-    _size(n, "semilength")
-    yield from map(DyckWord._trusted, _paths(2 * n, DyckWord._alphabet))
+    yield from map(DyckWord._trusted, _texts(DyckWord, n))
 
 
 def enumerate_g(n: int) -> Iterator[GWord]:
@@ -354,8 +367,7 @@ def enumerate_g(n: int) -> Iterator[GWord]:
 
     Yields catalan(n + 1) words.
     """
-    _size(n, "length")
-    yield from map(GWord._trusted, _paths(n, GWord._alphabet))
+    yield from map(GWord._trusted, _texts(GWord, n))
 
 
 def enumerate_g_restricted(length: int) -> Iterator[RestrictedGWord]:
@@ -364,16 +376,12 @@ def enumerate_g_restricted(length: int) -> Iterator[RestrictedGWord]:
     Yields catalan(length) words; the stream is empty for length 0
     because restricted words are never empty.
     """
-    _size(length, "length")
-    if length == 0:
-        return
-    yield from map(RestrictedGWord._trusted, _paths(length, RestrictedGWord._alphabet, ground_red_ok=False))
+    yield from map(RestrictedGWord._trusted, _texts(RestrictedGWord, length))
 
 
 def enumerate_motzkin(k: int) -> Iterator[MotzkinWord]:
     """All Motzkin words of length k, lexicographically (U < H < D)."""
-    _size(k, "length")
-    yield from map(MotzkinWord._trusted, _paths(k, MotzkinWord._alphabet))
+    yield from map(MotzkinWord._trusted, _texts(MotzkinWord, k))
 
 
 _SPAN64 = 1 << 64  # the number of 64-bit outputs

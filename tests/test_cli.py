@@ -64,6 +64,13 @@ def test_enumerate_dyck_length_0_is_one_empty_line(capsys):
     assert (status, out) == (0, "\n")
 
 
+def test_enumerate_length_0_lists_the_empty_word_but_no_restricted_word(capsys):
+    listed = {"dyck": ("\n", "1\n"), "g": ("\n", "1\n"), "grestricted": ("", "0\n"), "motzkin": ("\n", "1\n")}
+    for kind, (lines, count) in listed.items():
+        assert run(["enumerate", kind, "--length", "0"], capsys) == (0, lines, "")
+        assert run(["enumerate", kind, "--length", "0", "--count-only"], capsys) == (0, count, "")
+
+
 def test_enumerate_count_only(capsys):
     status, out, _ = run(["enumerate", "motzkin", "--length", "3", "--count-only"], capsys)
     assert (status, out) == (0, "4\n")
@@ -530,17 +537,17 @@ def test_one_sided_walk_gives_the_two_sided_results(monkeypatch, fault, cpus):
 
 
 def _enumerating(monkeypatch, edit):
-    """Make ``verify``'s enumerator pass each list of texts through ``edit(texts, length, alphabet, ground_red_ok)``."""
+    """Make ``verify``'s enumerator pass each list of texts through ``edit(texts, cls, size)``."""
     from touchard import verify
 
-    real_paths = verify._paths
+    real_texts = verify._texts
 
-    def paths(length, alphabet, ground_red_ok=True):
-        texts = list(real_paths(length, alphabet, ground_red_ok))
-        edit(texts, length, alphabet, ground_red_ok)
-        return iter(texts)
+    def texts(cls, size):
+        listed = list(real_texts(cls, size))
+        edit(listed, cls, size)
+        return iter(listed)
 
-    monkeypatch.setattr(verify, "_paths", paths)
+    monkeypatch.setattr(verify, "_texts", texts)
 
 
 def test_verify_fails_a_first_family_with_a_repeated_word(capsys, monkeypatch):
@@ -550,8 +557,8 @@ def test_verify_fails_a_first_family_with_a_repeated_word(capsys, monkeypatch):
     # its repeated word is named.
     dyck_4 = [str(word) for word in enumerate_dyck(4)]
 
-    def repeat(texts, length, alphabet, ground_red_ok):
-        if (length, alphabet) == (8, "UD"):
+    def repeat(texts, cls, size):
+        if (cls, size) == (DyckWord, 4):
             texts[10] = texts[2]
 
     _enumerating(monkeypatch, repeat)
@@ -564,8 +571,8 @@ def test_verify_fails_a_target_family_one_word_short(monkeypatch, cpus):
     # family, Dyck_4, is one word larger than its target, and UDUDUDUD, which
     # pair_encode sends to GGGG, fails its round trip; restriction's first
     # family is one word smaller than G_3, though each of its words survives.
-    def shorten(texts, length, alphabet, ground_red_ok):
-        if (length, ground_red_ok) == (4, False):
+    def shorten(texts, cls, size):
+        if (cls, size) == (RestrictedGWord, 4):
             texts.remove("GGGG")
 
     _enumerating(monkeypatch, shorten)
@@ -690,6 +697,51 @@ def test_unexpected_exception_is_one_error_line():
     """)
     status, out, err = run_python("-c", code)
     assert (status, out, err) == (1, "", "error: unexpected RuntimeError: planted fault\n")
+
+
+# Where Ctrl-C lands in a verify run on two CPUs: code that makes interrupt() run there.
+INTERRUPTS = {
+    "counting the censuses": "verify._census_checks = interrupt\n",
+    "starting the second worker": textwrap.dedent("""
+        start = multiprocessing.context.ForkProcess.start
+
+        def start_second(process):
+            if multiprocessing.active_children():
+                interrupt()
+            start(process)
+
+        multiprocessing.context.ForkProcess.start = start_second
+    """),
+}
+
+
+@pytest.mark.parametrize("where", INTERRUPTS)
+def test_interrupt_is_one_error_line_and_leaves_no_process(where):
+    # In a session of its own, so that any worker left behind would still be
+    # found in its process group.
+    code = PIN_TWO_CPUS + textwrap.dedent("""
+        import contextlib, io, multiprocessing.context, sys
+        import touchard.cli as cli
+        import touchard.verify as verify
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+    """) + INTERRUPTS[where] + textwrap.dedent("""
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(["verify", "--max-identity-n", "0"])
+        sys.exit(status if not multiprocessing.active_children() else 3)
+    """)
+    proc = python("-c", code, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
 
 
 def test_count_prints_past_the_int_to_str_digit_limit():

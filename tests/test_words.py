@@ -1,5 +1,6 @@
 """Word types, validation, enumeration, text codec, and sampling."""
 
+import io
 import itertools
 import math
 import random
@@ -34,7 +35,8 @@ from touchard import (
     validate_g_restricted,
     validate_motzkin,
 )
-from touchard.words import _CHUNK, _shuffled_dyck
+from touchard.cli import cmd_enumerate
+from touchard.words import _CHUNK, _shuffled_dyck, _texts
 
 import tuple_reference as ref
 
@@ -199,6 +201,27 @@ def test_enumerators_agree_with_validators_up_to_length_8():
         )
         for text in texts(DYCK_ALPHABET, length):
             assert (text in dyck_set) == plain_valid(text)
+
+
+ENUMERATORS = {  # each class: its enumerator and its kind in touchard enumerate
+    DyckWord: (enumerate_dyck, "dyck"),
+    GWord: (enumerate_g, "g"),
+    RestrictedGWord: (enumerate_g_restricted, "grestricted"),
+    MotzkinWord: (enumerate_motzkin, "motzkin"),
+}
+
+
+def test_texts_are_the_enumerators_texts_and_check_the_size_alike():
+    for cls, (enumerate_words, kind) in ENUMERATORS.items():
+        for size in range(7 if cls is DyckWord else 9):
+            assert list(_texts(cls, size)) == [w.text for w in enumerate_words(size)]
+        what = "semilength" if cls is DyckWord else "length"
+        for size in (-1, True, 1.0):
+            words = enumerate_words(size)  # a generator: the size is checked at its first word
+            for call in (lambda: next(words), lambda: cmd_enumerate(kind, size, False, io.StringIO())):
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == f"{what} must be a non-negative int, not {size!r}"
 
 
 def test_enumeration_order_is_lexicographic():
