@@ -6,7 +6,8 @@ and ``sample``.  Words travel in the one-letter-per-character encoding
 (U/D/G/R/H), one word per line.
 
 Exit codes: 0 success, 1 verification or validation failure, 2 usage
-error, 130 interrupted (Ctrl-C).  This module parses arguments and
+error, 130 interrupted (Ctrl-C) once ``main`` runs; Python itself reports
+an interrupt during start-up or the imports.  This module parses arguments and
 reads and writes lines; ``verify``'s checks live in ``touchard.verify``.
 """
 
@@ -213,12 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; every failure is one ``error:`` line and exit status 1 (130 if interrupted)."""
-    args = build_parser().parse_args(argv)
     # Exact values print in full, past CPython's int-to-str digit limit (3.10.7 and later).
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         status = args.run(args)
         sys.stdout.flush()
         return status

@@ -15,9 +15,9 @@ before it by a product of small integers and one exact division:
 
 Each division is exact because its quotient is the next summand, an
 integer.  ``g_census`` counts the same summands a second way, as the
-words of G_n with each number of up-steps or of red zeros, from a table
-of prefix counts.  Everything here is exact integer arithmetic; no
-tolerances apply.
+words of G_n with each number of up-steps or of letters other than red
+zeros, from a table of prefix counts.  Everything here is exact integer
+arithmetic; no tolerances apply.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import zip_longest
 from math import comb
 from typing import Iterator
 
-from .words import _size
+from .words import STEP, GWord, _size
 
 
 def catalan(n: int) -> int:
@@ -127,19 +127,16 @@ def motzkin_rhs(n: int) -> IdentityReport:
     return IdentityReport(n, catalan(n + 1), terms)
 
 
-_G_LETTERS = (("U", 1), ("G", 0), ("R", 0), ("D", -1))  # each G-word letter and its step in height
-
-
 def g_census(max_n: int, counted: str) -> Iterator[list[int]]:
-    """For n = 0, 1, ..., max_n: how many words of G_n hold c letters ``counted``, for c = 0, 1, ...
+    """For n = 0, 1, ..., max_n: how many words of G_n hold c letters in ``counted``, for c = 0, 1, ...
 
     Counts G-word prefixes one letter at a time: rows[h][c] prefixes end at
-    height h with c letters ``counted``, and each letter moves a prefix by
+    height h with c letters in ``counted``, and each letter moves a prefix by
     its step, never below 0.  The height-0 row after n letters counts G_n,
     so one pass yields every n; heights that cannot return to 0 within
     max_n letters are dropped.  A row ends at its last nonzero count: for
-    ``"U"`` the touchard_rhs terms (k up-steps, term k), for ``"R"`` the
-    motzkin_rhs terms reversed (r red zeros, term n - r).
+    ``"U"`` the touchard_rhs terms (k up-steps, term k), for ``"UGD"`` the
+    motzkin_rhs terms (k letters other than red zeros, term k).
     """
     _size(max_n, "max_n")
     rows = [[1]]  # the empty prefix
@@ -147,8 +144,9 @@ def g_census(max_n: int, counted: str) -> Iterator[list[int]]:
     for length in range(1, max_n + 1):
         incoming = [[] for _ in range(min(length, max_n - length) + 1)]  # per height, the rows moved there
         for h, row in enumerate(rows):
-            for letter, step in _G_LETTERS:
+            for letter in GWord._alphabet:
+                step = STEP[letter]
                 if 0 <= h + step < len(incoming):
-                    incoming[h + step].append([0, *row] if letter == counted else row)
+                    incoming[h + step].append([0, *row] if letter in counted else row)
         rows = [[sum(column) for column in zip_longest(*moved, fillvalue=0)] for moved in incoming]
         yield rows[0]

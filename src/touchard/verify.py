@@ -185,16 +185,16 @@ def _roundtrip_checks(n: int, shards: list[list[tuple]]) -> Iterator[Check]:
 
 
 def _census_checks(max_n: int) -> list[Check]:
-    """Both census checks for each n <= max_n: G_n's words by up-steps and by red zeros, against the identities' terms.
+    """Both census checks for each n <= max_n: G_n's words by each split's kept letters, against the identities' terms.
 
     The counts come from ``g_census``'s tables, not from enumerated words or
-    splits: k up-steps put a word under Touchard's term k, r red zeros under
-    Motzkin's term n - r.  The split round trips force those to be the core
-    sizes (see README).
+    splits: k up-steps put a word under Touchard's term k, and k letters
+    other than red zeros under Motzkin's term k.  The split round trips
+    force those to be the core sizes (see README).
     """
     checks = []
-    for n, ups, reds in zip(range(max_n + 1), g_census(max_n, "U"), g_census(max_n, "R")):
-        for which, counts, report in (("touchard", ups, touchard_rhs(n)), ("motzkin", reds[::-1], motzkin_rhs(n))):
+    for n, ups, kept in zip(range(max_n + 1), g_census(max_n, "U"), g_census(max_n, "UGD")):
+        for which, counts, report in (("touchard", ups, touchard_rhs(n)), ("motzkin", kept, motzkin_rhs(n))):
             expected = list(report.per_k_terms)
             ok = counts == expected
             line = "census={} n={} counts={} terms={} ok={}".format(

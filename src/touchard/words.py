@@ -44,11 +44,12 @@ golden outputs are stable.
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import accumulate, islice
 from operator import mod
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 
 class Letter(Enum):
@@ -117,18 +118,20 @@ def _text(text: str) -> str:
     return text
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Word:
     """Shared behavior of the validated word types.
 
     ``Word(text)`` takes the word's text and checks the family's
-    invariants; ``text`` is the word's text.
+    invariants; ``text`` is the word's text.  Equality (same class, same
+    text), hashing and immutability come from the frozen dataclass.
     """
 
-    __slots__ = ("text",)
+    __slots__ = ("text",)  # declared, not dataclass(slots=True): see TouchardDecomposition
     text: str
-    _alphabet: str  # the family's letters, in enumeration order
-    _family: str  # the family's name in error messages
-    _foreign: dict[int, None]  # a str.translate table deleting the family's letters
+    _alphabet: ClassVar[str]  # the family's letters, in enumeration order
+    _family: ClassVar[str]  # the family's name in error messages
+    _foreign: ClassVar[dict[int, None]]  # a str.translate table deleting the family's letters
 
     def __init__(self, text: str) -> None:
         self._check(text)
@@ -173,24 +176,10 @@ class Word:
         if height != 0:
             raise NotBalanced(f"letters sum to {height}, not zero")
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     @property
     def letters(self) -> tuple[Letter, ...]:
         """The word as ``Letter`` members."""
         return tuple(map(_BY_SYMBOL.__getitem__, self.text))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.text == other.text
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.text)
 
     def __len__(self) -> int:
         return len(self.text)
@@ -206,7 +195,7 @@ class Word:
 
 
 _new = object.__new__
-_set_text = Word.text.__set__  # the slot's own setter, past the immutable __setattr__
+_set_text = Word.text.__set__  # the slot's own setter, past the frozen __setattr__
 
 
 class DyckWord(Word):

@@ -214,6 +214,7 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--format", "json"],
         ["count", "catalan"],
         ["render", "--format", "png", "--word", "UD"],
+        ["render", "--word", "UD", "--unit", "0"],
         ["map", "sideways"],
         [],
     ):
@@ -342,7 +343,7 @@ def test_verify_output_does_not_depend_on_the_worker_count(capsys, monkeypatch):
 TABLE_FAULTS = {
     # A prefix at height 0 may take a down-step (it lands on the top height).
     "down-step at height 0": ("if 0 <= h + step < len(incoming):", "if h + step < len(incoming):"),
-    "red zero counted as an up-step": ("if letter == counted else row", 'if letter in (counted, "R") else row'),
+    "red zero counted as an up-step": ("if letter in counted else row", 'if letter in counted + "R" else row'),
 }
 
 

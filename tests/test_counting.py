@@ -177,20 +177,21 @@ def test_terms_match_exhaustive_census():
 
 
 def test_g_census_counts_g_words_by_each_letter():
-    # The table's rows against the enumerated words, for every letter.
-    for letter in "UGRD":
-        rows = list(g_census(7, letter))
+    # The table's rows against the enumerated words, for every letter and for the Motzkin split's kept letters.
+    for letters in (*"UGRD", "UGD"):
+        rows = list(g_census(7, letters))
         assert len(rows) == 8
         for n, row in enumerate(rows):
-            counts = Counter(word.text.count(letter) for word in enumerate_g(n))
+            counts = Counter(sum(map(word.text.count, letters)) for word in enumerate_g(n))
             assert row == [counts[c] for c in range(max(counts) + 1)]
 
 
 def test_g_census_rows_are_the_identity_terms_to_200():
-    ups, reds = (list(g_census(200, letter)) for letter in "UR")
+    ups, reds, kept = (list(g_census(200, letters)) for letters in ("U", "R", "UGD"))
     for n in range(201):
         assert tuple(ups[n]) == touchard_rhs(n).per_k_terms
         assert tuple(reversed(reds[n])) == motzkin_rhs(n).per_k_terms
+        assert tuple(kept[n]) == motzkin_rhs(n).per_k_terms
     # a shorter pass gives the same rows
     assert list(g_census(9, "U")) == ups[:10]
 

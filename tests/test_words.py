@@ -134,6 +134,10 @@ def test_words_are_hashable_and_type_distinct():
         dyck.text = "UUDD"
     with pytest.raises(AttributeError):
         del dyck.text
+    with pytest.raises(AttributeError):
+        setattr(dyck, "extra", 1)
+    with pytest.raises(AttributeError):
+        del dyck.extra
 
 
 def test_words_survive_pickle_and_copy():
