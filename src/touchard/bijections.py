@@ -43,7 +43,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import compress
-from operator import add, ge
+from operator import ge
 from typing import Iterable
 
 from .words import (
@@ -70,6 +70,9 @@ def _wrong_input(expected: type, given: object, error: type[ValueError] = WordEr
 
 _PAIR_TO_LETTER = {"UU": "U", "UD": "G", "DU": "R", "DD": "D"}
 _LETTER_TO_PAIR = str.maketrans({letter: pair for pair, letter in _PAIR_TO_LETTER.items()})
+_FIRST_LANE = bytes.maketrans(b"UD", b"\0\2")  # a pair's first letter, worth 0 or 2
+_SECOND_LANE = bytes.maketrans(b"UD", b"\0\1")  # its second letter, worth 0 or 1
+_LANE_TO_LETTER = bytes.maketrans(b"\0\1\2\3", b"UGRD")
 
 
 def pair_encode(word: DyckWord) -> RestrictedGWord:
@@ -79,14 +82,22 @@ def pair_encode(word: DyckWord) -> RestrictedGWord:
     input.  The output prefix sums are half the input's even-position
     prefix sums, so the result is again balanced and non-negative, and
     every red zero lands strictly above ground level.
+
+    The pairs are read as byte lanes of one integer: the first letters,
+    as bytes worth 0 (U) or 2 (D), and the second letters, worth 0 or 1,
+    are each read as a big-endian integer and added.  Each lane of the
+    sum holds 0..3, so no carry crosses a lane, and lane i names pair i
+    as 0 UU, 1 UD, 2 DU, 3 DD.  Writing the sum back with the explicit
+    length keeps the leading zero lanes.
     """
     if not isinstance(word, DyckWord):
         raise _wrong_input(DyckWord, word)
-    text = word.text
-    if not text:
+    letters = word.text.encode()
+    if not letters:
         raise ValueError("pair encoding needs at least one letter pair")
-    pairs = map(add, text[::2], text[1::2])
-    return RestrictedGWord._trusted("".join(map(_PAIR_TO_LETTER.__getitem__, pairs)))
+    lanes = int.from_bytes(letters[::2].translate(_FIRST_LANE), "big")
+    lanes += int.from_bytes(letters[1::2].translate(_SECOND_LANE), "big")
+    return RestrictedGWord._trusted(lanes.to_bytes(len(letters) // 2, "big").translate(_LANE_TO_LETTER).decode())
 
 
 def pair_decode(word: RestrictedGWord) -> DyckWord:

@@ -130,6 +130,7 @@ def render_ascii(drawing: PathDrawing) -> str:
 
 
 _STROKE_BY_COLOR = {NEUTRAL: NEUTRAL_HEX, GREEN: GREEN_HEX, RED: RED_HEX}
+_STROKE_BY_STEP = {step: _STROKE_BY_COLOR[step.color] for step in _STEPS}
 
 
 def render_svg(drawing: PathDrawing, unit: int = 20) -> str:
@@ -139,7 +140,9 @@ def render_svg(drawing: PathDrawing, unit: int = 20) -> str:
     step, a positive int (ValueError otherwise).  The y-axis is flipped so
     height increases upward; all coordinates are integers, keeping the
     output byte-stable.  The x-axis is drawn as a dashed gray line, so a red
-    step resting on it would be visible at a glance.
+    step resting on it would be visible at a glance.  Each level's y and
+    each column's x is formatted once, and every step's line reads its two
+    ends from those strings.
     """
     if type(unit) is not int or unit <= 0:
         raise ValueError(f"unit must be a positive int, not {unit!r}")
@@ -149,19 +152,19 @@ def render_svg(drawing: PathDrawing, unit: int = 20) -> str:
     width = drawing.width * unit + 2 * margin
     height = top * unit + 2 * margin
     axis_y = margin + top * unit
+    level_ys = [str(axis_y - level * unit) for level in range(top + 1)]
+    ys = list(map(level_ys.__getitem__, levels))  # the y of each step's start, then of the path's end
+    xs = list(map(str, range(margin, width - margin + 1, unit)))  # likewise each column's x
+    strokes = map(_STROKE_BY_STEP.__getitem__, drawing.steps)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
         f' viewBox="0 0 {width} {height}">',
         f'  <line class="axis" x1="0" y1="{axis_y}" x2="{width}" y2="{axis_y}"'
         f' stroke="{AXIS_HEX}" stroke-dasharray="4 3"/>',
     ]
-    for i, step in enumerate(drawing.steps):
-        x1 = margin + i * unit
-        y1 = axis_y - levels[i] * unit
-        y2 = axis_y - levels[i + 1] * unit
-        parts.append(
-            f'  <line class="step" x1="{x1}" y1="{y1}" x2="{x1 + unit}" y2="{y2}"'
-            f' stroke="{_STROKE_BY_COLOR[step.color]}" stroke-width="2"/>'
-        )
+    parts += [
+        f'  <line class="step" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="2"/>'
+        for x1, y1, x2, y2, stroke in zip(xs, ys, xs[1:], ys[1:], strokes)
+    ]
     parts.append("</svg>")
     return "\n".join(parts)

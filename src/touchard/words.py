@@ -303,26 +303,37 @@ def _paths(length: int, alphabet: str, ground_red_ok: bool = True) -> Iterator[s
     last letters come from a table built per call (``_completions``):
     every word with a given head, the first ``length - tail`` letters, is
     that head followed by each completion of the head's height in turn.
-    Heads are walked depth first: a stack of (letters before it, letter,
-    height after it), children pushed in reverse alphabet order, and one
-    shared list of the head's letters.  Memory is O(length) plus at most
-    ``_TAIL_WORDS`` table words.
+    Each head is the successor of the last: its last letter that can grow
+    is changed to the next letter that keeps the word completable, and the
+    head goes on straight down the smallest completion from there.  Memory
+    is O(length) plus at most ``_TAIL_WORDS`` table words.
     """
     tail, table = _completions(length, alphabet, ground_red_ok)
     head = length - tail
-    letters, stack = [], [(0, "", 0)]
-    while stack:
-        depth, ch, height = stack.pop()
-        letters[depth:] = ch  # the root's letter is empty
-        depth = len(letters)
-        if depth == head:
-            yield from map("".join(letters).__add__, table[height])
-            continue
-        remaining = length - depth - 1  # letters left after a child
-        for child in reversed(alphabet):
-            child_height = height + STEP[child]
-            if 0 <= child_height <= remaining and (ground_red_ok or height or child != "R"):
-                stack.append((depth, child, child_height))
+    later = {ch: alphabet[i + 1 :] for i, ch in enumerate(alphabet)}
+    zero = alphabet[1]  # the smallest level letter; a Dyck completion never needs one
+
+    def smallest(start: int, height: int) -> tuple[str, int]:
+        """The head's letters from index ``start`` on, of the smallest word at ``height`` there, and their end height."""
+        ups, odd = divmod(length - start - height, 2)
+        letters = ("U" * ups + zero * odd + "D" * (height + ups))[: head - start]
+        return letters, height + letters.count("U") - letters.count("D")
+
+    text, height = smallest(0, 0)
+    while True:
+        yield from map(text.__add__, table[height])
+        i = len(text.rstrip("D"))  # a last down-step never grows
+        height += head - i  # the height after text[:i]
+        grown = []
+        while not grown:
+            if not i:
+                return
+            i -= 1
+            height -= STEP[text[i]]  # now the height before text[i]
+            grown = [ch for ch in later[text[i]]
+                     if 0 <= height + STEP[ch] < length - i and (ground_red_ok or height or ch != "R")]
+        rest, height = smallest(i + 1, height + STEP[grown[0]])
+        text = text[:i] + grown[0] + rest
 
 
 def _size(n: int, what: str) -> None:

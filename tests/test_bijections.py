@@ -57,7 +57,7 @@ def test_pair_encode_table():
 
 
 def test_pair_encode_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pair encoding needs at least one letter pair$"):
         pair_encode(dyck(""))
 
 

@@ -4,7 +4,8 @@ Exhaustive at small sizes: every word up to length 8 (semilength 9 for
 Dyck words) through the enumerators, the validators and all ten ``map``
 directions, with the same outputs and the same errors; and longer words,
 of 9 to 2,000 letters, with up to three faults planted at random slots,
-through the validators.  The enumerator's
+through the validators; ``pair_encode`` also on Dyck words of up to
+10,000 letters.  The enumerator's
 table of completions is also compared with its successor-only form, up to
 length 10 to 13 (semilength 11), and at 20,000 letters, where it must
 also stay within a small memory peak.  The splits, which build their results
@@ -214,6 +215,18 @@ def test_map_directions_match_reference(direction):
         assert outcome(apply, line) == outcome(ref.map_line, direction, line), line
 
 
+def test_pair_encode_matches_reference_on_long_words():
+    # pair_encode adds the pairs' letters as byte lanes of one integer: U^m D^m
+    # puts long runs of zero lanes at its top, which writing it back must keep,
+    # and the lane counts straddle a byte's 256 values.
+    texts = [text for m in (1, 2, 255, 256, 257, 5000) for text in ("U" * m + "D" * m, "UD" * m)]
+    texts += [sample_dyck(n, n).text for n in range(1, 3001, 15)]  # 200 words
+    for text in texts:
+        encoded = pair_encode(DyckWord(text))
+        expected = ref.text(ref.pair_encode(ref.parse_letters(text)))
+        assert (type(encoded), encoded.text) == (RestrictedGWord, expected), text[:40]
+
+
 # The largest sizes put 4 to 8 head letters before the tail of _paths's
 # table (G 6 letters, restricted 7, Motzkin 8, Dyck 14); the smallest have
 # no head, or a head of one letter.
@@ -241,7 +254,8 @@ def test_completion_table_matches_successor_reference(family):
 @pytest.mark.parametrize("family", PATH_FAMILIES)
 def test_enumerator_streams_long_words_in_small_memory(family):
     # README promises O(length) memory: the first words at 20,000 letters
-    # (Dyck semilength 10,000) must not keep a prefix string per stack entry.
+    # (Dyck semilength 10,000) must not keep a prefix string, or a stack
+    # entry, per letter; the head's successor walk peaks at 0.2-0.4 MB.
     _, alphabet, ground_red_ok, _ = PATH_FAMILIES[family]
     tracemalloc.start()
     try:
@@ -250,7 +264,7 @@ def test_enumerator_streams_long_words_in_small_memory(family):
     finally:
         tracemalloc.stop()
     assert first == list(itertools.islice(ref.successor_paths(20000, alphabet, ground_red_ok), 3))
-    assert peak < 16_000_000, peak
+    assert peak < 1_000_000, peak
 
 
 def test_completion_table_size():

@@ -305,3 +305,6 @@ def test_renderers_match_the_reference_walks():
         assert render_ascii(drawing) == reference_ascii(drawing), word
         for unit in (1, 7, 20):
             assert render_svg(drawing, unit) == reference_svg(drawing, unit), (word, unit)
+    # Past 100,000 the coordinates gain a digit; the empty drawing has no step line.
+    for drawing in (to_drawing(sample_dyck(3000, 24)), PathDrawing(())):
+        assert render_svg(drawing, 50) == reference_svg(drawing, 50), drawing.width
