@@ -11,8 +11,8 @@ Both renderers are deterministic byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import attrgetter
+from itertools import accumulate, count
+from operator import attrgetter, sub
 from typing import NamedTuple
 
 from .words import Word, WordError
@@ -111,6 +111,12 @@ def _levels_of(drawing: PathDrawing) -> tuple[int, ...]:
     return drawing._levels
 
 
+_GLYPH_BY_STEP = {
+    step: ord("/" if step.dy > 0 else "\\" if step.dy < 0 else "=" if step.color == RED else "-") for step in _STEPS
+}
+_DROP_BY_STEP = {step: int(step.dy < 0) for step in _STEPS}  # a down-step's glyph sits one row below its start
+
+
 def render_ascii(drawing: PathDrawing) -> str:
     """Character grid: '/' up, '\\' down, '-' green or plain flat, '=' red flat.
 
@@ -118,15 +124,22 @@ def render_ascii(drawing: PathDrawing) -> str:
     '\\' fill the cell between their endpoints, flats sit at their level, and a single
     arch is the one-line ``/\\``.  Rows are padded with spaces to the word's length;
     the grid is at least one row tall.  ValueError unless ``drawing`` is a
-    ``PathDrawing``.
+    ``PathDrawing``.  The grid is one ``bytearray`` of (top + 1) rows of spaces, each
+    ended by a newline, top row first.  A step's row is its start level, less one for
+    a down-step, and its glyph, from a table keyed by ``Step``, is written at that
+    row's offset plus its column.
     """
     levels = _levels_of(drawing)
-    rows = list(map(min, levels, levels[1:]))
-    grid = [[" "] * drawing.width for _ in range(max(rows, default=0) + 1)]
-    for column, (row, step) in enumerate(zip(rows, drawing.steps)):
-        glyph = "/" if step.dy > 0 else "\\" if step.dy < 0 else "=" if step.color == RED else "-"
-        grid[row][column] = glyph
-    return "\n".join("".join(line) for line in reversed(grid))
+    steps = drawing.steps
+    rows = list(map(sub, levels, map(_DROP_BY_STEP.__getitem__, steps)))  # stops at the last step
+    top = max(rows, default=0)
+    width = len(steps)
+    stride = width + 1
+    grid = bytearray(b" " * width + b"\n") * (top + 1)
+    offsets = list(range(top * stride, -1, -stride))  # the offset of each row, bottom row first
+    for column, row, glyph in zip(count(), rows, map(_GLYPH_BY_STEP.__getitem__, steps)):
+        grid[offsets[row] + column] = glyph
+    return grid[:-1].decode()
 
 
 _STROKE_BY_COLOR = {NEUTRAL: NEUTRAL_HEX, GREEN: GREEN_HEX, RED: RED_HEX}

@@ -47,7 +47,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from operator import mod
 from typing import ClassVar, Iterable, Iterator
 
@@ -413,10 +413,7 @@ class SplitMix64:
     The output sequence depends only on the 64-bit seed, so sampled
     words are reproducible across platforms and Python versions.  From
     state s the i-th output is mix(s + i·_GAMMA): ``below_each`` computes a
-    chunk of them as lanes of one integer.  ``below(b)`` returns d % b for
-    an output d with d + b <= 2**64; if a chunk's bounds are ints >= 1 and
-    its largest output and bound pass that test, so does each of its draws,
-    and otherwise ``below`` itself draws the chunk again.
+    chunk of them as lanes of one integer, and keeps ``below``'s draws.
     """
 
     __slots__ = ("_state",)
@@ -443,19 +440,44 @@ class SplitMix64:
                 return draw % bound
 
     def below_each(self, bounds: Iterable[int]) -> Iterator[int]:
-        """``below(b)`` for each b of ``bounds`` in turn, leaving the state where those calls would."""
+        """``below(b)`` for each b of ``bounds`` in turn, leaving the state where those calls would.
+
+        The outputs come up to ``_CHUNK`` at a time.  A chunk of a ``range`` is a
+        slice of it, whose bounds are exact ints and whose ends are its smallest and
+        largest bound; any other chunk is a list, scanned for those.  If its bounds
+        lie in 1..2**64 and adding the largest less one to every lane's output d
+        carries into no lane's bit 64, then every d + b <= 2**64, which ``below``
+        accepts, and the chunk is handed out as one list of d % b.  Otherwise it is
+        ``map(self.below, chunk)``, drawn lazily, so the values before a bad bound
+        still come out before its error.
+        """
+        return chain.from_iterable(self._chunks(bounds))
+
+    def _chunks(self, bounds: Iterable[int]) -> Iterator[Iterable[int]]:
+        """``below_each``'s values, one iterable per chunk of up to ``_CHUNK`` bounds."""
         from array import array  # not at import: touchard.cli's start-up never needs it
         steps, ones, masks = _lane_constants()
-        bounds = iter(bounds)
-        while chunk := list(islice(bounds, _CHUNK)):
-            mask = masks & ((1 << 128 * len(chunk)) - 1)  # the chunk's lanes
-            z = _mix(((steps & mask) + self._state * (ones & mask)) & mask, mask)
-            draws = array("Q", z.to_bytes(16 * len(chunk), sys.byteorder))[_LOW_HALVES]
-            if {int}.issuperset(map(type, chunk)) and min(chunk) > 0 and max(draws) <= _SPAN64 - max(chunk):
-                self._state = (self._state + len(chunk) * _GAMMA) & _MASK64
-                yield from map(mod, draws, chunk)
+        if type(bounds) is range:
+            chunks = (bounds[i : i + _CHUNK] for i in range(0, len(bounds), _CHUNK))
+        else:
+            bounds = iter(bounds)
+            chunks = iter(lambda: list(islice(bounds, _CHUNK)), [])
+        for chunk in chunks:
+            if type(chunk) is range:
+                low, high = sorted((chunk[0], chunk[-1]))
+            elif {int}.issuperset(map(type, chunk)):
+                low, high = min(chunk), max(chunk)
             else:
-                yield from map(self.below, chunk)
+                low = high = 0  # ``below`` raises at the first bound that is not an int
+            if 0 < low and high <= _SPAN64:
+                mask = masks & ((1 << 128 * len(chunk)) - 1)  # 2**64 - 1 in each of the chunk's lanes
+                one = ones & mask
+                z = _mix(((steps & mask) + self._state * one) & mask, mask) & mask
+                if not (z + (high - 1) * one) >> 64 & mask:  # no lane carries: every d + high <= 2**64
+                    self._state = (self._state + len(chunk) * _GAMMA) & _MASK64
+                    yield list(map(mod, array("Q", z.to_bytes(16 * len(chunk), sys.byteorder))[_LOW_HALVES], chunk))
+                    continue
+            yield map(self.below, chunk)
 
 
 def _shuffled_dyck(n: int, indices: Iterable[int]) -> str:

@@ -299,8 +299,10 @@ def test_renderers_match_the_reference_walks():
     words = [word for n in range(9) for word in (*enumerate_g(n), *enumerate_motzkin(n))]
     words += [catalan_to_g(sample_dyck(502, seed)) for seed in range(24)]
     words += [sample_dyck(300, seed) for seed in range(12)]
-    for word in words:
-        drawing = to_drawing(word)
+    drawings = [to_drawing(word) for word in words]
+    # A grid taller than 255 rows, whose last two steps sit on its bottom row, and one flat step.
+    drawings += [to_drawing(validate_g("U" * 300 + "D" * 300 + "GR")), PathDrawing([Step(0, GREEN)])]
+    for word, drawing in zip(words + ["tall", "flat"], drawings):
         assert drawing.height == reference_height(drawing), word
         assert render_ascii(drawing) == reference_ascii(drawing), word
         for unit in (1, 7, 20):

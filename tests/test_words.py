@@ -315,6 +315,64 @@ def test_below_each_is_below_in_turn(count):
             assert batch.next_uint64() == single.next_uint64()  # the same state afterwards
 
 
+def below_in_turn(rng, bounds):
+    """The values ``rng.below`` gives for ``bounds`` in turn, and the message of the error that stops them, if any."""
+    values = []
+    try:
+        for bound in bounds:
+            values.append(rng.below(bound))
+    except ValueError as error:
+        return values, str(error)
+    return values, None
+
+
+# Ranges that are empty, reach 0 or a negative bound, pass 2**64, ascend, step by
+# other than ±1, or span several chunks with a short last one.
+RANGE_BOUNDS = (
+    range(0),
+    range(5, 1, -1),
+    range(5, -1, -1),
+    range(_CHUNK + 3, -3, -1),
+    range(2**64 - 3, 2**64 + 2),
+    range(2**64 + 1, 2**64 - 3, -1),
+    range(2**128, 2**128 + 3),  # the largest bound less one would overflow its lane
+    range(1, 3 * _CHUNK),
+    range(7, 5 * _CHUNK, 5),
+    range(10**12, 1, -(10**12 // (2 * _CHUNK + 1))),
+    range(3 * _CHUNK + 5, 1, -1),
+)
+
+
+@pytest.mark.parametrize("bounds", RANGE_BOUNDS, ids=repr)
+def test_below_each_takes_a_range_as_its_list(bounds):
+    # A range's chunks are slices whose ends are their extremes; a list's are scanned.
+    # Both give what below gives in turn: the same values, error and state afterwards.
+    for seed in (0, 2**64 - 1, 0x0123456789ABCDEF):
+        single = SplitMix64(seed)
+        values, error = below_in_turn(single, bounds)
+        after = single.next_uint64()
+        for shape in (bounds, list(bounds)):
+            batch = SplitMix64(seed)
+            draws = batch.below_each(shape)
+            assert list(itertools.islice(draws, len(values))) == values
+            if error is None:
+                assert next(draws, None) is None
+            else:
+                with pytest.raises(ValueError) as raised:
+                    next(draws)
+                assert str(raised.value) == error
+            assert batch.next_uint64() == after
+
+
+def test_below_each_is_lazy():
+    # The draws before a bad bound come out before its error, for a list and a range alike.
+    for bounds in ([5, 0], range(1, -1, -1)):
+        draws = SplitMix64(0).below_each(bounds)
+        assert next(draws) == SplitMix64(0).below(bounds[0])
+        with pytest.raises(ValueError, match=r"^bound must lie in 1\.\.2\*\*64$"):
+            next(draws)
+
+
 MIXERS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 
 
@@ -343,6 +401,25 @@ def test_below_each_redraws_a_rejected_output(k):
         outputs, batch = ref.splitmix64(seed), SplitMix64(seed)
         assert list(batch.below_each(bounds)) == [ref.below(outputs, b) for b in bounds]
         assert batch.next_uint64() == next(outputs)  # one output past the bounds: the redraw
+
+
+# A range, its largest bound b, and the smallest output that below(b) rejects. 2**64 % 2050
+# is 16, and adding the chunk's other end, 3, to 2**64 - 16 carries into no bit 64;
+# 274177 divides 2**64 + 1, so d + b is 2**64 + 1, one past the carry test's edge.
+REJECTED_BY_THE_LARGEST_BOUND = (
+    (range(2050, 2, -1), 2050, 2**64 - 16),
+    (range(3, 2051), 2050, 2**64 - 16),
+    (range(274177, 274172, -1), 274177, 2**64 - 274176),
+)
+
+
+@pytest.mark.parametrize("bounds, bound, output", REJECTED_BY_THE_LARGEST_BOUND)
+def test_below_each_tests_a_range_chunk_against_its_largest_bound(bounds, bound, output):
+    k = bounds.index(bound)
+    seed = (state_of_output(output) - (k + 1) * 0x9E3779B97F4A7C15) % 2**64
+    outputs, batch = ref.splitmix64(seed), SplitMix64(seed)
+    assert list(batch.below_each(bounds)) == [ref.below(outputs, b) for b in bounds]
+    assert batch.next_uint64() == next(outputs)  # one output past the bounds: the redraw
 
 
 def test_sample_dyck_matches_the_one_draw_at_a_time_sampler():
