@@ -34,7 +34,10 @@ every word up to its bound, a split's structure included.  The public
 decomposition constructors and the ``parse_*_decomposition`` functions
 check the structure, exact core class included, whatever Python's ``-O``
 setting; ``_touchard_fault`` and ``_motzkin_fault`` are those checks, and
-``verify`` runs the same ones on each split it walks.  Position indices
+``verify`` runs the same ones on each split it walks.  A parsed line's fields
+already have their types (ints, bools, the core from ``validate_*``), so the
+parsers run only the shape half, ``_touchard_shape_fault`` and
+``_motzkin_shape_fault``.  Position indices
 in decompositions and in their line formats are 1-based.
 """
 
@@ -168,29 +171,35 @@ _BOOL_ONLY = frozenset((bool,))
 
 
 def _slots_fault(positions: tuple, n: int, name: str) -> str | None:
-    """Why ``positions`` are not ints increasing strictly within 1..n, or None if they are.
+    """Why int ``positions`` do not increase strictly within 1..n, or None if they do.
 
-    A position of another type (``bool`` included) is reported first, then an
-    out-of-range position, then a misordered one.
+    An out-of-range position is reported before a misordered one.
     """
-    if not positions:
-        return None
-    if not _INT_ONLY.issuperset(map(type, positions)):
-        return f"{name} must be ints"
-    if positions[0] >= 1 and positions[-1] <= n and not any(map(ge, positions, positions[1:])):
+    if not positions or positions[0] >= 1 and positions[-1] <= n and not any(map(ge, positions, positions[1:])):
         return None
     if min(positions) < 1 or max(positions) > n:
         return f"{name} must lie in 1..{n}"
     return f"{name} must be strictly increasing"
 
 
+def _touchard_shape_fault(positions: tuple, core: DyckWord, colors: tuple) -> str | None:
+    """Why well-typed fields do not fit as a ``TouchardDecomposition``: one slot per core letter, then the slots."""
+    if len(positions) != len(core.text):
+        return "positions must hold one slot per core letter"
+    return _slots_fault(positions, len(positions) + len(colors), "positions")
+
+
+def _motzkin_shape_fault(red_positions: tuple, core: MotzkinWord) -> str | None:
+    """Why well-typed fields do not fit as a ``MotzkinDecomposition``: the slots, n = len(red_positions) + len(core)."""
+    return _slots_fault(red_positions, len(red_positions) + len(core.text), "red positions")
+
+
 def _touchard_fault(positions: tuple, core: DyckWord, colors: tuple) -> str | None:
     """Why these fields do not form a ``TouchardDecomposition``, or None if they do.
 
     The core must be exactly a DyckWord; positions and colors tuples; colors bools;
-    positions one per core letter; and positions ints increasing strictly
-    within 1..n, where n = len(positions) + len(colors) is the number of
-    slots.  The first fault found, in that order, is the one named.
+    positions ints; and then the fields must pass ``_touchard_shape_fault``.
+    The first fault found, in that order, is the one named.
     """
     if core.__class__ is not DyckWord:
         return f"the core must be a DyckWord, not a {type(core).__name__}"
@@ -198,24 +207,25 @@ def _touchard_fault(positions: tuple, core: DyckWord, colors: tuple) -> str | No
         return "positions and colors must be tuples"
     if not _BOOL_ONLY.issuperset(map(type, colors)):
         return "colors must be bools"
-    if len(positions) != len(core.text):
-        return "positions must hold one slot per core letter"
-    return _slots_fault(positions, len(positions) + len(colors), "positions")
+    if not _INT_ONLY.issuperset(map(type, positions)):
+        return "positions must be ints"
+    return _touchard_shape_fault(positions, core, colors)
 
 
 def _motzkin_fault(red_positions: tuple, core: MotzkinWord) -> str | None:
     """Why these fields do not form a ``MotzkinDecomposition``, or None if they do.
 
-    The core must be exactly a MotzkinWord; red positions a tuple; and red positions
-    ints increasing strictly within 1..n, where n = len(red_positions) +
-    len(core) is the number of slots.  The first fault found, in that order,
-    is the one named.
+    The core must be exactly a MotzkinWord; red positions a tuple of ints; and
+    then the fields must pass ``_motzkin_shape_fault``.  The first fault found,
+    in that order, is the one named.
     """
     if core.__class__ is not MotzkinWord:
         return f"the core must be a MotzkinWord, not a {type(core).__name__}"
     if red_positions.__class__ is not tuple:
         return "red positions must be a tuple"
-    return _slots_fault(red_positions, len(red_positions) + len(core.text), "red positions")
+    if not _INT_ONLY.issuperset(map(type, red_positions)):
+        return "red positions must be ints"
+    return _motzkin_shape_fault(red_positions, core)
 
 
 _new = object.__new__
@@ -401,18 +411,30 @@ _TOUCHARD_LINE = re.compile(r"positions=\[((?:[0-9]+(?:,[0-9]+)*)?)\];core=(\w*)
 _MOTZKIN_LINE = re.compile(r"red=\[((?:[0-9]+(?:,[0-9]+)*)?)\];core=(\w*)")
 
 
+# CPython's default int-digit limit (``sys.get_int_max_str_digits()``, 3.10.7 and later).
+_INT_DIGITS = 4300
+
+
 def _parse_positions(text: str, other_slots: int) -> tuple[int, ...]:
     """The positions field of a line whose word has ``other_slots`` more slots.
 
-    No position exceeds n, the number of slots.  A field that keeps more than len(str(n)) digits
-    after its leading zeros reads as n + 1, failing the same range check without a conversion
-    whose time grows with the square of its length.  Fields no wider than that are converted as
-    they are.
+    A field text of at most 4,300 characters, CPython's default int-digit limit,
+    is converted as it is: no field in it is longer than the limit, and none
+    costs much to convert.  In a longer text, or one with a field past a limit
+    the caller lowered, no position exceeds n, the number of slots, so a field
+    that keeps more than len(str(n)) digits after its leading zeros reads as
+    n + 1, failing the same range check without a conversion whose time grows
+    with the square of its length.
     """
-    fields = text.split(",") if text else []
+    if len(text) <= _INT_DIGITS:
+        try:
+            return tuple(map(int, text.split(","))) if text else ()
+        except ValueError:  # the only one a field of ASCII digits raises: past the int-digit limit
+            pass
+    fields = text.split(",")
     n = len(fields) + other_slots
     width = len(str(n))
-    if max(map(len, fields), default=0) <= width:
+    if max(map(len, fields)) <= width:
         return tuple(map(int, fields))
     fields = [p.lstrip("0") or "0" for p in fields]
     return tuple([int(p) if len(p) <= width else n + 1 for p in fields])
@@ -434,8 +456,13 @@ def parse_touchard_decomposition(line: str) -> TouchardDecomposition:
     if match is None:
         raise InvalidDecomposition(f"cannot parse decomposition line {line!r}")
     positions, core, colors = match.groups()
+    core = validate_dyck(core)
     colors = tuple(map("1".__eq__, colors))
-    return TouchardDecomposition(_parse_positions(positions, len(colors)), validate_dyck(core), colors)
+    positions = _parse_positions(positions, len(colors))
+    fault = _touchard_shape_fault(positions, core, colors)
+    if fault is not None:
+        raise InvalidDecomposition(fault)
+    return TouchardDecomposition._trusted(positions, core, colors)
 
 
 def format_motzkin_decomposition(decomposition: MotzkinDecomposition) -> str:
@@ -453,4 +480,9 @@ def parse_motzkin_decomposition(line: str) -> MotzkinDecomposition:
     if match is None:
         raise InvalidDecomposition(f"cannot parse decomposition line {line!r}")
     red_positions, core = match.groups()
-    return MotzkinDecomposition(_parse_positions(red_positions, len(core)), validate_motzkin(core))
+    core = validate_motzkin(core)
+    red_positions = _parse_positions(red_positions, len(core.text))
+    fault = _motzkin_shape_fault(red_positions, core)
+    if fault is not None:
+        raise InvalidDecomposition(fault)
+    return MotzkinDecomposition._trusted(red_positions, core)

@@ -52,20 +52,20 @@ from .words import (
 
 
 _MAP_FUNCTIONS = {
-    "encode": lambda line: str(pair_encode(validate_dyck(line))),
-    "decode": lambda line: str(pair_decode(validate_g_restricted(line))),
-    "drop": lambda line: str(drop_restriction(validate_g_restricted(line))),
-    "raise": lambda line: str(raise_restriction(validate_g(line))),
-    "c2g": lambda line: str(catalan_to_g(validate_dyck(line))),
-    "g2c": lambda line: str(g_to_catalan(validate_g(line))),
+    "encode": lambda line: pair_encode(validate_dyck(line)).text,
+    "decode": lambda line: pair_decode(validate_g_restricted(line)).text,
+    "drop": lambda line: drop_restriction(validate_g_restricted(line)).text,
+    "raise": lambda line: raise_restriction(validate_g(line)).text,
+    "c2g": lambda line: catalan_to_g(validate_dyck(line)).text,
+    "g2c": lambda line: g_to_catalan(validate_g(line)).text,
     "tsplit": lambda line: format_touchard_decomposition(
         touchard_split(validate_g(line))
     ),
-    "tmerge": lambda line: str(touchard_merge(parse_touchard_decomposition(line))),
+    "tmerge": lambda line: touchard_merge(parse_touchard_decomposition(line)).text,
     "msplit": lambda line: format_motzkin_decomposition(
         motzkin_split(validate_g(line))
     ),
-    "mmerge": lambda line: str(motzkin_merge(parse_motzkin_decomposition(line))),
+    "mmerge": lambda line: motzkin_merge(parse_motzkin_decomposition(line)).text,
 }
 
 MAP_DIRECTIONS = tuple(_MAP_FUNCTIONS)

@@ -1,6 +1,8 @@
 """Pair encoding, restriction lifting, and the two slot decompositions."""
 
+import contextlib
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -421,6 +423,57 @@ def test_position_fields_parse_as_their_values(fields, flats):
         assert str(raised.value) == str(exc)
     else:
         assert parse_motzkin_decomposition(line) == expected
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """Run with CPython's int-digit limit set to ``limit`` (0 lifts it); an interpreter without one has none to set."""
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+def padded(fields, length):
+    """``fields`` with the first zero-padded so that their text, joined by commas, has ``length`` characters."""
+    short = length - len(",".join(fields))
+    return [fields[0].zfill(len(fields[0]) + short), *fields[1:]]
+
+
+@pytest.mark.parametrize("limit", [4300, 0, 640], ids=["default-limit", "limit-lifted", "limit-lowered"])
+@pytest.mark.parametrize("length", [4299, 4300, 4301])
+def test_position_fields_parse_as_their_values_either_side_of_the_digit_limit(length, limit):
+    # A field text of at most 4,300 characters is converted as it is; a longer one,
+    # or one with a field past a lowered limit (640 is the least CPython allows),
+    # is stripped of leading zeros and capped.  Either way, and whatever the
+    # int-digit limit, the result must be the one the fields' exact values give.
+    run = [str(i) for i in range(1, 1001)]  # 3,892 characters
+    cases = [
+        ["1".zfill(length)],  # one field, all leading zeros
+        ["9" * length],  # one over-wide field
+        padded(run, length),  # 1..1000, the first zero-padded
+        padded(run[:500] + ["9" * 20] + run[501:], length),  # one over-wide field among them
+        padded(["7"] + run[1:], length),  # zero-padded and misordered
+    ]
+    core = MotzkinWord("HHH")
+    for fields in cases:
+        line = f"red=[{','.join(fields)}];core={core}"
+        assert len(line) == length + len("red=[];core=HHH")
+        with int_digit_limit(0):
+            try:
+                expected = MotzkinDecomposition(map(int, fields), core)
+            except InvalidDecomposition as exc:
+                expected = str(exc)
+        with int_digit_limit(limit):
+            try:
+                parsed = parse_motzkin_decomposition(line)
+            except InvalidDecomposition as exc:
+                parsed = str(exc)
+        assert parsed == expected, fields[0][-20:]
 
 
 # Semilengths far past the exhaustive range (10) of the other tests.

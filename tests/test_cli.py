@@ -23,6 +23,7 @@ from touchard import (
     enumerate_dyck,
     enumerate_g,
     enumerate_g_restricted,
+    motzkin_merge,
     motzkin_split,
     pair_decode,
     pair_encode,
@@ -145,6 +146,19 @@ def test_map_rejects_a_huge_position_at_once(capsys, monkeypatch):
     line = "red=[" + "0" * 1_000_000 + "2];core=UD\n"  # leading zeros still parse
     status, out, err = run(["map", "mmerge"], capsys, stdin=line, monkeypatch=monkeypatch)
     assert (status, out, err) == (0, "URD\n", "")
+
+
+def test_merges_stay_linear_on_a_long_word():
+    # Each merge joins slices of its zeros or core in one pass; inserting letter by
+    # letter into a list is quadratic and takes seconds at this length.
+    word = catalan_to_g(sample_dyck(200_001, 7))
+    assert len(word) == 200_000
+    for split, merge in ((touchard_split, touchard_merge), (motzkin_split, motzkin_merge)):
+        decomposition = split(word)
+        start = time.perf_counter()
+        merged = merge(decomposition)
+        assert time.perf_counter() - start < 1, merge.__name__
+        assert merged == word
 
 
 def test_render_ascii(capsys):

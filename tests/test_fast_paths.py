@@ -185,7 +185,8 @@ def test_long_words_with_planted_faults_match_reference(family, size, seed, faul
 
 def map_inputs():
     """Valid words of every family up to length 8 (semilength 9), their
-    decomposition lines, malformed words, and malformed lines."""
+    decomposition lines, malformed words, and malformed lines, some with
+    several faults."""
     lines = []
     for family in ENUMERATORS:
         for size in sizes(family):
@@ -204,6 +205,10 @@ def map_inputs():
         "positions=[1,3];core=UX;colors=1", "positions=[1,2];core=UUDD;colors=",
         "red=1;core=", "red=[1];core=G", "red=[1,1];core=", "red=[0];core=", "red=[3];core=UD",
         "red=[2,1];core=H", "red=[];core=DU", "red=[];core=HHX", "red=[2];core=UHD", "red=[1];core=UUD",
+        # Two or three faults: the one the reference names first must be the one reported.
+        "positions=[2,1];core=DU;colors=", "positions=[2,1];core=UX;colors=", "positions=[5];core=UD;colors=",
+        "positions=[3,1,9];core=UD;colors=0", "positions=[9,1];core=UD;colors=0", "positions=[0,0];core=UUD;colors=1",
+        "red=[2,1];core=UUD", "red=[0,0];core=X", "red=[9,1];core=H", "red=[3,3];core=DU",
     ]
     return lines
 
