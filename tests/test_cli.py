@@ -9,7 +9,6 @@ import subprocess
 import sys
 import textwrap
 import time
-from pathlib import Path
 
 import pytest
 
@@ -35,16 +34,9 @@ from touchard import (
 from touchard.cli import build_parser, main
 from touchard.verify import MAX_JOBS, VerifyConfig, cmd_verify, resolve_jobs, run_checks
 
+from cli_support import PIN_TWO_CPUS, pin_cpus, python, run_python
+
 U_G_2 = "UD\nGG\nGR\nRG\nRR\n"
-
-
-def pin_cpus(monkeypatch, count):
-    """Make ``count`` CPUs available to ``verify``, so that it starts min(count, 2) workers on any host."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-# The same, for code run in a fresh interpreter: two CPUs, so two workers.
-PIN_TWO_CPUS = "import os; os.sched_getaffinity = lambda pid: {0, 1}\n"
 
 
 def run(argv, capsys, stdin=None, monkeypatch=None):
@@ -664,27 +656,6 @@ def test_jobs_are_the_available_cpus_up_to_two(monkeypatch):
     pin_cpus(monkeypatch, 2)
     monkeypatch.delattr(os, "fork", raising=False)
     assert resolve_jobs() == 1
-
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def python(*args, optimize=False, **kwargs):
-    """Start a fresh interpreter (``python -O`` if ``optimize``) that imports this checkout's package."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    cmd = [sys.executable, *(["-O"] if optimize else []), *args]
-    return subprocess.Popen(cmd, env=dict(os.environ, PYTHONPATH=path), **kwargs)
-
-
-def run_python(*args, optimize=False):
-    proc = python(*args, optimize=optimize, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    try:
-        out, err = proc.communicate(timeout=120)
-    except subprocess.TimeoutExpired:  # a hang fails the test and leaves no process behind
-        proc.kill()
-        proc.wait()
-        raise
-    return proc.returncode, out, err
 
 
 def test_closed_output_pipe_exits_1_without_traceback():
