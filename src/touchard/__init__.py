@@ -33,7 +33,6 @@ from .words import (
     BadAlphabet,
     DyckWord,
     GWord,
-    Letter,
     MotzkinWord,
     NegativePrefix,
     NotBalanced,

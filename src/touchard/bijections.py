@@ -81,7 +81,7 @@ _LANE_TO_LETTER = bytes.maketrans(b"\0\1\2\3", b"UGRD")
 def pair_encode(word: DyckWord) -> RestrictedGWord:
     """Compress a Dyck word of semilength m into a restricted word of length m.
 
-    Letter i of the output encodes the pair (letters 2i-1, 2i) of the
+    The output's letter i encodes the pair (letters 2i-1, 2i) of the
     input.  The output prefix sums are half the input's even-position
     prefix sums, so the result is again balanced and non-negative, and
     every red zero lands strictly above ground level.

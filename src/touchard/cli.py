@@ -138,25 +138,22 @@ def cmd_sample(kind: str, length: int, seed: int, out: IO[str]) -> int:
     return 0
 
 
-def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return value
+def _int_in(low: int, high: float, message: str):
+    """An argparse type: an int in [low, high), or a usage error that names what was expected."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an int, not {text!r}") from None
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(message)
+        return value
+    return parse
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
+_nonneg = _int_in(0, float("inf"), "must be non-negative")
+_positive = _int_in(1, float("inf"), "must be positive")
+_seed = _int_in(0, 1 << 64, "seed must fit in 64 unsigned bits")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,9 +31,9 @@ constructor, which checks nothing; code that builds words that way owns
 their validity, and ``touchard verify`` checks the maps' outputs
 explicitly.
 
-``Letter``, ``Word.letters`` and ``parse_letters`` remain as a view of a
-word as a tuple of ``Letter`` members; nothing in the package reads it, but
-the benchmark's tracer wraps ``parse_letters`` and counts with ``Word.letters``.
+``Word.letters`` and ``parse_letters`` are text views, kept only for the
+benchmark's tracer (``bench/tracer.py``), which wraps ``parse_letters`` and
+counts a map's input with ``Word.letters``; nothing in the package reads them.
 
 Enumeration is lexicographic under the letter order of each class's
 alphabet: U < D for Dyck words, U < G < R < D for G-words and
@@ -45,31 +45,11 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache
 from itertools import accumulate, chain, islice
 from operator import mod
 from typing import ClassVar, Iterable, Iterator
 
-
-class Letter(Enum):
-    """A path letter; ``step`` is its contribution to prefix sums."""
-
-    UP = ("U", +1)
-    GREEN_ZERO = ("G", 0)
-    RED_ZERO = ("R", 0)
-    DOWN = ("D", -1)
-    FLAT = ("H", 0)
-
-    def __init__(self, symbol: str, step: int) -> None:
-        self.symbol = symbol
-        self.step = step
-
-    def __repr__(self) -> str:
-        return f"Letter.{self.name}"
-
-
-_BY_SYMBOL = {letter.symbol: letter for letter in Letter}
 STEP = {"U": +1, "G": 0, "R": 0, "D": -1, "H": 0}
 _UNKNOWN = str.maketrans(dict.fromkeys(STEP))  # deletes every known symbol
 
@@ -106,16 +86,6 @@ def _first_ground_red(text: str) -> int:
         start = red
         red = text.find("R", red + 1)
     return red
-
-
-def _text(text: str) -> str:
-    """``text`` if it is a ``str`` of the five symbols; else BadAlphabet."""
-    if not isinstance(text, str):
-        raise BadAlphabet(f"expected a word's text, not a {type(text).__name__}")
-    unknown = text.translate(_UNKNOWN)
-    if unknown:
-        raise BadAlphabet(f"unknown letter {unknown[0]!r}")
-    return text
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -177,9 +147,9 @@ class Word:
             raise NotBalanced(f"letters sum to {height}, not zero")
 
     @property
-    def letters(self) -> tuple[Letter, ...]:
-        """The word as ``Letter`` members."""
-        return tuple(map(_BY_SYMBOL.__getitem__, self.text))
+    def letters(self) -> str:
+        """The word's text: a read-only view for the benchmark's tracer."""
+        return self.text
 
     def __len__(self) -> int:
         return len(self.text)
@@ -265,9 +235,14 @@ def validate_motzkin(text: str) -> MotzkinWord:
     return MotzkinWord(text)
 
 
-def parse_letters(text: str) -> tuple[Letter, ...]:
-    """Decode a line of U/D/G/R/H symbols; BadAlphabet on anything else."""
-    return tuple(map(_BY_SYMBOL.__getitem__, _text(text)))
+def parse_letters(text: str) -> str:
+    """``text`` if it is a ``str`` of U/D/G/R/H symbols; BadAlphabet on anything else."""
+    if not isinstance(text, str):
+        raise BadAlphabet(f"expected a word's text, not a {type(text).__name__}")
+    unknown = text.translate(_UNKNOWN)
+    if unknown:
+        raise BadAlphabet(f"unknown letter {unknown[0]!r}")
+    return text
 
 
 _TAIL_WORDS = 4096  # the most completions _paths tabulates

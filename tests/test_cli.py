@@ -34,7 +34,7 @@ from touchard import (
 from touchard.cli import build_parser, main
 from touchard.verify import MAX_JOBS, VerifyConfig, cmd_verify, resolve_jobs, run_checks
 
-from cli_support import PIN_TWO_CPUS, pin_cpus, python, run_python
+from cli_support import PIN_TWO_CPUS, SRC, pin_cpus, python, run_python
 
 U_G_2 = "UD\nGG\nGR\nRG\nRR\n"
 
@@ -223,11 +223,18 @@ def test_usage_errors_exit_2(capsys):
         ["render", "--word", "UD", "--unit", "0"],
         ["map", "sideways"],
         [],
+        ["enumerate", "g", "--length", "x"],
+        ["count", "catalan", "1e3"],
+        ["sample", "dyck", "--length", "1", "--seed", "x"],
+        ["render", "--word", "UD", "--unit", "x"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert not any(name in err for name in ("_nonneg", "_positive", "_seed")), err
+        if argv[-1:] in (["x"], ["1e3"], ["2.5"]):
+            assert f"expected an int, not {argv[-1]!r}" in err
 
 
 def test_verify_small_bounds(capsys, monkeypatch):
@@ -761,14 +768,14 @@ def test_public_constructors_check_under_optimize():
 
 
 def test_words_are_built_from_text_only():
-    # Anything but a str, Letter members and symbol lists included, raises BadAlphabet, under -O too.
+    # Anything but a str, symbol tuples and lists included, raises BadAlphabet, under -O too.
     builders = ("DyckWord", "GWord", "RestrictedGWord", "MotzkinWord", "validate_dyck", "validate_g",
                 "validate_g_restricted", "validate_motzkin", "parse_letters")
     code = textwrap.dedent(f"""
         import touchard
-        from touchard import BadAlphabet, Letter
+        from touchard import BadAlphabet
         for name in {builders!r}:
-            for given in (None, 5, (Letter.UP, Letter.DOWN), ["U", "D"]):
+            for given in (None, 5, ("U", "D"), ["U", "D"]):
                 try:
                     getattr(touchard, name)(given)
                 except BadAlphabet as exc:
@@ -778,6 +785,27 @@ def test_words_are_built_from_text_only():
                        for name in builders for kind in ("NoneType", "int", "tuple", "list"))
     for optimize in (False, True):
         assert run_python("-c", code, optimize=optimize) == (0, expected, "")
+
+
+def test_benchmark_tracer_finds_the_names_it_wraps():
+    # bench/tracer.py wraps parse_letters and counts a map's input letters with Word.letters.
+    code = textwrap.dedent(f"""
+        import importlib.util, io, time
+        import touchard, touchard.cli
+        spec = importlib.util.spec_from_file_location("tracer", {str(SRC.parent / "bench" / "tracer.py")!r})
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        spans = tracer.Tracer(time.perf_counter)
+        spans.install(touchard)
+        out, err = io.StringIO(), io.StringIO()
+        for direction, line in (("tsplit", "URGD"), ("g2c", "URGD"), ("mmerge", "red=[2];core=UD")):
+            assert touchard.cli.cmd_map(direction, [line], out, err) == 0
+        print(out.getvalue() + err.getvalue(), end="")
+        metrics = spans.metrics(1.0)
+        print(*(metrics[layer + ".calls"][0] for layer in ("bijections.touchard", "bijections.compose", "bijections.motzkin")))
+        print(sum(stat.letters for stat in spans.edges.values()))
+    """)
+    assert run_python("-c", code) == (0, "positions=[1,4];core=UD;colors=10\nUUDUUDDDUD\nURD\n1 1 1\n20\n", "")
 
 
 def test_sizes_seeds_and_bounds_must_be_ints():

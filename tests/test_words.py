@@ -14,7 +14,6 @@ from touchard import (
     BadAlphabet,
     DyckWord,
     GWord,
-    Letter,
     MotzkinWord,
     NegativePrefix,
     NotBalanced,
@@ -40,7 +39,6 @@ from touchard.words import _CHUNK, _shuffled_dyck, _texts
 
 import tuple_reference as ref
 
-U, D, G, R, H = Letter.UP, Letter.DOWN, Letter.GREEN_ZERO, Letter.RED_ZERO, Letter.FLAT
 STEP = {"U": 1, "D": -1, "G": 0, "R": 0, "H": 0}  # each letter's step in height, independent of the package
 DYCK_ALPHABET, G_ALPHABET, MOTZKIN_ALPHABET = "UD", "UGRD", "UHD"  # each in enumeration order
 
@@ -70,11 +68,6 @@ def restricted_valid(text):
             return False
         total += STEP[ch]
     return plain_valid(text)
-
-
-def test_letter_values():
-    assert [letter.step for letter in (U, D, G, R, H)] == [1, -1, 0, 0, 0]
-    assert [letter.symbol for letter in (U, D, G, R, H)] == ["U", "D", "G", "R", "H"]
 
 
 def test_validate_dyck_accepts_arch():
@@ -258,8 +251,8 @@ def test_prefix_sums_of_valid_words():
 
 
 def test_parse_letters():
-    assert parse_letters("UDGRH") == (U, D, G, R, H)
-    assert parse_letters("") == ()
+    assert parse_letters("UDGRH") == "UDGRH"
+    assert parse_letters("") == ""
     with pytest.raises(BadAlphabet):
         parse_letters("UXD")
     with pytest.raises(BadAlphabet):
