@@ -231,6 +231,15 @@ def _motzkin_fault(red_positions: tuple, core: MotzkinWord) -> str | None:
 _new = object.__new__
 
 
+def _field(values: Iterable, name: str, kind: str) -> tuple:
+    """A decomposition field as a tuple, or InvalidDecomposition if ``values`` is not iterable."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise InvalidDecomposition(f"{name} must be an iterable of {kind}, not a {type(values).__name__}") from None
+    return tuple(values)
+
+
 @dataclass(frozen=True, init=False)
 class TouchardDecomposition:
     """A G-word split by the support of its up/down letters.
@@ -250,8 +259,8 @@ class TouchardDecomposition:
     colors: tuple[bool, ...]
 
     def __new__(cls, positions: Iterable[int], core: DyckWord, colors: Iterable[bool]):
-        positions = tuple(positions)
-        colors = tuple(colors)
+        positions = _field(positions, "positions", "ints")
+        colors = _field(colors, "colors", "bools")
         fault = _touchard_fault(positions, core, colors)
         if fault is not None:
             raise InvalidDecomposition(fault)
@@ -296,7 +305,7 @@ class MotzkinDecomposition:
     core: MotzkinWord
 
     def __new__(cls, red_positions: Iterable[int], core: MotzkinWord):
-        red_positions = tuple(red_positions)
+        red_positions = _field(red_positions, "red positions", "ints")
         fault = _motzkin_fault(red_positions, core)
         if fault is not None:
             raise InvalidDecomposition(fault)
@@ -450,6 +459,10 @@ def format_touchard_decomposition(decomposition: TouchardDecomposition) -> str:
 
 
 def parse_touchard_decomposition(line: str) -> TouchardDecomposition:
+    """The decomposition that ``format_touchard_decomposition`` writes as ``line``.
+
+    Any other line raises ``InvalidDecomposition``, or the core's ``WordError``.
+    """
     if not isinstance(line, str):
         raise _wrong_input(str, line, InvalidDecomposition)
     match = _TOUCHARD_LINE.fullmatch(line)
@@ -474,6 +487,10 @@ def format_motzkin_decomposition(decomposition: MotzkinDecomposition) -> str:
 
 
 def parse_motzkin_decomposition(line: str) -> MotzkinDecomposition:
+    """The decomposition that ``format_motzkin_decomposition`` writes as ``line``.
+
+    Any other line raises ``InvalidDecomposition``, or the core's ``WordError``.
+    """
     if not isinstance(line, str):
         raise _wrong_input(str, line, InvalidDecomposition)
     match = _MOTZKIN_LINE.fullmatch(line)

@@ -46,7 +46,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from operator import mod
 from typing import ClassVar, Iterable, Iterator
 
@@ -417,33 +417,26 @@ class SplitMix64:
     def below_each(self, bounds: Iterable[int]) -> Iterator[int]:
         """``below(b)`` for each b of ``bounds`` in turn, leaving the state where those calls would.
 
-        The outputs come up to ``_CHUNK`` at a time.  A chunk of a ``range`` is a
-        slice of it, whose bounds are exact ints and whose ends are its smallest and
-        largest bound; any other chunk is a list, scanned for those.  If its bounds
-        lie in 1..2**64 and adding the largest less one to every lane's output d
+        A ``range`` is drawn up to ``_CHUNK`` outputs at a time, as lanes of one
+        integer; any other iterable is ``map(self.below, bounds)``.  A slice of a
+        range has exact-int bounds, and its ends are its smallest and largest.  If
+        they lie in 1..2**64 and adding the largest less one to every lane's output d
         carries into no lane's bit 64, then every d + b <= 2**64, which ``below``
-        accepts, and the chunk is handed out as one list of d % b.  Otherwise it is
+        accepts, and the slice is handed out as one list of d % b.  Otherwise it is
         ``map(self.below, chunk)``, drawn lazily, so the values before a bad bound
         still come out before its error.
         """
+        if type(bounds) is not range:
+            return map(self.below, bounds)
         return chain.from_iterable(self._chunks(bounds))
 
-    def _chunks(self, bounds: Iterable[int]) -> Iterator[Iterable[int]]:
-        """``below_each``'s values, one iterable per chunk of up to ``_CHUNK`` bounds."""
+    def _chunks(self, bounds: range) -> Iterator[Iterable[int]]:
+        """``below_each``'s values for a range, one iterable per slice of up to ``_CHUNK`` bounds."""
         from array import array  # not at import: touchard.cli's start-up never needs it
         steps, ones, masks = _lane_constants()
-        if type(bounds) is range:
-            chunks = (bounds[i : i + _CHUNK] for i in range(0, len(bounds), _CHUNK))
-        else:
-            bounds = iter(bounds)
-            chunks = iter(lambda: list(islice(bounds, _CHUNK)), [])
-        for chunk in chunks:
-            if type(chunk) is range:
-                low, high = sorted((chunk[0], chunk[-1]))
-            elif {int}.issuperset(map(type, chunk)):
-                low, high = min(chunk), max(chunk)
-            else:
-                low = high = 0  # ``below`` raises at the first bound that is not an int
+        for i in range(0, len(bounds), _CHUNK):
+            chunk = bounds[i : i + _CHUNK]
+            low, high = sorted((chunk[0], chunk[-1]))
             if 0 < low and high <= _SPAN64:
                 mask = masks & ((1 << 128 * len(chunk)) - 1)  # 2**64 - 1 in each of the chunk's lanes
                 one = ones & mask

@@ -309,7 +309,14 @@ INVALID_DECOMPOSITIONS = [
 
 
 def test_invalid_decompositions():
-    for cls, args, message in INVALID_DECOMPOSITIONS:
+    # A field that is not iterable is named with its type, before any other check;
+    # these rows stay out of INVALID_DECOMPOSITIONS, whose fields are passed through tuple().
+    not_iterable = [
+        (TouchardDecomposition, (None, dyck("UD"), ()), "positions must be an iterable of ints, not a NoneType"),
+        (TouchardDecomposition, ((1, 2), dyck("UD"), 5), "colors must be an iterable of bools, not a int"),
+        (MotzkinDecomposition, (3, MotzkinWord("H")), "red positions must be an iterable of ints, not a int"),
+    ]
+    for cls, args, message in INVALID_DECOMPOSITIONS + not_iterable:
         with pytest.raises(InvalidDecomposition) as raised:
             cls(*args)
         assert str(raised.value) == message, args

@@ -338,7 +338,7 @@ RANGE_BOUNDS = (
 
 @pytest.mark.parametrize("bounds", RANGE_BOUNDS, ids=repr)
 def test_below_each_takes_a_range_as_its_list(bounds):
-    # A range's chunks are slices whose ends are their extremes; a list's are scanned.
+    # A range is drawn in lanes, by slices whose ends are their extremes; a list through below.
     # Both give what below gives in turn: the same values, error and state afterwards.
     for seed in (0, 2**64 - 1, 0x0123456789ABCDEF):
         single = SplitMix64(seed)
