@@ -44,7 +44,6 @@ in decompositions and in their line formats are 1-based.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import compress
 from operator import ge
 from typing import Iterable
@@ -57,6 +56,9 @@ from .words import (
     RestrictedGWord,
     WordError,
     _first_ground_red,
+    _Frozen,
+    _iter,
+    _new,
     validate_dyck,
     validate_motzkin,
 )
@@ -228,20 +230,7 @@ def _motzkin_fault(red_positions: tuple, core: MotzkinWord) -> str | None:
     return _motzkin_shape_fault(red_positions, core)
 
 
-_new = object.__new__
-
-
-def _field(values: Iterable, name: str, kind: str) -> tuple:
-    """A decomposition field as a tuple, or InvalidDecomposition if ``values`` is not iterable."""
-    try:
-        values = iter(values)
-    except TypeError:
-        raise InvalidDecomposition(f"{name} must be an iterable of {kind}, not a {type(values).__name__}") from None
-    return tuple(values)
-
-
-@dataclass(frozen=True, init=False)
-class TouchardDecomposition:
+class TouchardDecomposition(_Frozen):
     """A G-word split by the support of its up/down letters.
 
     ``positions`` lists the 1-based slots of the 2k up/down letters,
@@ -251,16 +240,14 @@ class TouchardDecomposition:
     There are binom(n, 2k) * C_k * 2^(n-2k) decompositions with |positions| = 2k.
     """
 
-    # Declared rather than dataclass(slots=True), whose frozen __setattr__ raises
-    # TypeError, not FrozenInstanceError, for a name that is not a field (Python 3.11).
-    __slots__ = ("positions", "core", "colors")
+    __slots__ = _fields = ("positions", "core", "colors")
     positions: tuple[int, ...]
     core: DyckWord
     colors: tuple[bool, ...]
 
     def __new__(cls, positions: Iterable[int], core: DyckWord, colors: Iterable[bool]):
-        positions = _field(positions, "positions", "ints")
-        colors = _field(colors, "colors", "bools")
+        positions = tuple(_iter(positions, "positions", "ints", InvalidDecomposition))
+        colors = tuple(_iter(colors, "colors", "bools", InvalidDecomposition))
         fault = _touchard_fault(positions, core, colors)
         if fault is not None:
             raise InvalidDecomposition(fault)
@@ -289,8 +276,7 @@ _set_core = TouchardDecomposition.core.__set__
 _set_colors = TouchardDecomposition.colors.__set__
 
 
-@dataclass(frozen=True, init=False)
-class MotzkinDecomposition:
+class MotzkinDecomposition(_Frozen):
     """A G-word split by the support of its red zeros.
 
     ``red_positions`` lists the 1-based slots of the n-k red zeros and
@@ -300,12 +286,12 @@ class MotzkinDecomposition:
     decompositions whose core has length k.
     """
 
-    __slots__ = ("red_positions", "core")
+    __slots__ = _fields = ("red_positions", "core")
     red_positions: tuple[int, ...]
     core: MotzkinWord
 
     def __new__(cls, red_positions: Iterable[int], core: MotzkinWord):
-        red_positions = _field(red_positions, "red positions", "ints")
+        red_positions = tuple(_iter(red_positions, "red positions", "ints", InvalidDecomposition))
         fault = _motzkin_fault(red_positions, core)
         if fault is not None:
             raise InvalidDecomposition(fault)

@@ -164,10 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check identities, round trips, and censuses")
-    p.add_argument("--max-identity-n", type=_nonneg, default=VerifyConfig.max_identity_n)
-    p.add_argument("--max-census-n", type=_nonneg, default=VerifyConfig.max_census_n)
-    p.add_argument("--max-roundtrip-len", type=_nonneg, default=VerifyConfig.max_roundtrip_len)
-    p.add_argument("--format", choices=("text", "ndjson"), default=VerifyConfig.output_format)
+    default = VerifyConfig()
+    p.add_argument("--max-identity-n", type=_nonneg, default=default.max_identity_n)
+    p.add_argument("--max-census-n", type=_nonneg, default=default.max_census_n)
+    p.add_argument("--max-roundtrip-len", type=_nonneg, default=default.max_roundtrip_len)
+    p.add_argument("--format", choices=("text", "ndjson"), default=default.output_format)
     p.set_defaults(run=lambda a: cmd_verify(
         VerifyConfig(a.max_identity_n, a.max_census_n, a.max_roundtrip_len, a.format), sys.stdout, sys.stderr
     ))

@@ -22,13 +22,12 @@ arithmetic; no tolerances apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .words import STEP, GWord, _size
+from .words import STEP, GWord, _Frozen, _iter, _size
 
 
 def catalan(n: int) -> int:
@@ -56,26 +55,27 @@ def motzkin_count(k: int) -> int:
     return number
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Frozen):
     """One evaluation of an identity at index n.
 
-    ``lhs`` is C_{n+1} and ``per_k_terms`` the summands of the right-hand
-    side, stored as a tuple whatever iterable holds them; ``rhs`` (their
+    ``lhs`` is C_{n+1} and ``per_k_terms`` the summands of the right-hand side, stored as a
+    tuple whatever iterable holds them (ValueError if they are not iterable); ``rhs`` (their
     total) and ``holds`` (lhs == rhs) are computed.
     """
 
+    _fields = ("n", "lhs", "rhs", "per_k_terms", "holds")
+    __match_args__ = ("n", "lhs", "per_k_terms")
     n: int
     lhs: int
-    rhs: int = field(init=False)
+    rhs: int
     per_k_terms: tuple[int, ...]
-    holds: bool = field(init=False)
+    holds: bool
 
-    def __post_init__(self) -> None:
-        terms = tuple(self.per_k_terms)
+    def __init__(self, n: int, lhs: int, per_k_terms: Iterable[int]) -> None:
+        terms = tuple(_iter(per_k_terms, "per_k_terms", "ints"))
         rhs = sum(terms)
         # One write past the frozen __setattr__.
-        self.__dict__.update(per_k_terms=terms, rhs=rhs, holds=self.lhs == rhs)
+        self.__dict__.update(n=n, lhs=lhs, rhs=rhs, per_k_terms=terms, holds=lhs == rhs)
 
     def format_line(self) -> str:
         """Machine-readable line, e.g. ``n=3 lhs=14 rhs=14 holds=true terms=8,6``.

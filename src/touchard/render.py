@@ -10,12 +10,11 @@ Both renderers are deterministic byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, count
 from operator import attrgetter, sub
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .words import Word, WordError
+from .words import Word, WordError, _Frozen, _iter
 
 NEUTRAL = "neutral"
 GREEN = "green"
@@ -45,8 +44,7 @@ _STEPS = frozenset(Step(dy, color) for dy in (-1, 0, 1) for color in (NEUTRAL, G
 _dy = attrgetter("dy")
 
 
-@dataclass(frozen=True)
-class PathDrawing:
+class PathDrawing(_Frozen):
     """A path as drawable steps, starting at the origin and ending on the axis.
 
     ``steps`` is stored as a tuple whatever iterable holds them.  Raises
@@ -58,15 +56,12 @@ class PathDrawing:
     ``height`` and both renderers.
     """
 
+    _fields = ("steps",)
     steps: tuple[Step, ...]
-    _levels: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _levels: tuple[int, ...]  # set with steps, but not a field: not compared, hashed or shown
 
-    def __post_init__(self) -> None:
-        try:
-            steps = iter(self.steps)
-        except TypeError:
-            raise ValueError(f"steps must be an iterable of Steps, not a {type(self.steps).__name__}") from None
-        steps = tuple(steps)
+    def __init__(self, steps: Iterable[Step]) -> None:
+        steps = tuple(_iter(steps, "steps", "Steps"))
         for step in steps:  # exact types first: 1.0 and True equal and hash like 1, and a list field does not hash
             if not (type(step) is Step and type(step.dy) is int and type(step.color) is str and step in _STEPS):
                 raise ValueError(f"{step!r} is not a unit step in {NEUTRAL}, {GREEN} or {RED}")

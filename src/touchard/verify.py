@@ -10,11 +10,9 @@ decompositions' own fault functions.
 from __future__ import annotations
 
 import gc
-import json
 import os
 from collections import Counter
 from contextlib import closing, contextmanager
-from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Callable, Iterator, NamedTuple
 
@@ -33,19 +31,21 @@ from .bijections import (
     touchard_split,
 )
 from .counting import g_census, motzkin_rhs, touchard_rhs
-from .words import DyckWord, GWord, MotzkinWord, RestrictedGWord, Word, _size, _texts
+from .words import DyckWord, GWord, MotzkinWord, RestrictedGWord, Word, _Frozen, _size, _texts
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(_Frozen):
     """Bounds and output mode for the verification sweep."""
 
-    max_identity_n: int = 200
-    max_census_n: int = 9
-    max_roundtrip_len: int = 10
-    output_format: str = "text"
+    _fields = ("max_identity_n", "max_census_n", "max_roundtrip_len", "output_format")
+    max_identity_n: int
+    max_census_n: int
+    max_roundtrip_len: int
+    output_format: str
 
-    def __post_init__(self) -> None:
+    def __init__(self, max_identity_n: int = 200, max_census_n: int = 9, max_roundtrip_len: int = 10,
+                 output_format: str = "text") -> None:
+        self.__dict__.update(zip(self._fields, (max_identity_n, max_census_n, max_roundtrip_len, output_format)))
         for bound in ("max_identity_n", "max_census_n", "max_roundtrip_len"):
             _size(getattr(self, bound), bound)
         if self.output_format not in ("text", "ndjson"):
@@ -292,6 +292,8 @@ def cmd_verify(cfg: VerifyConfig, out: IO[str], err: IO[str]) -> int:
     ``max_identity_n`` = 7,152 on, this raises ``IdentityReport.format_line``'s
     digit-limit ValueError unless the caller lifts the limit, as ``cli.main`` does.
     """
+    if cfg.output_format == "ndjson":
+        import json  # here, not at the top, as multiprocessing is: text output never needs it
     first_failure: Check | None = None
     with closing(run_checks(cfg)) as checks:  # an early exit stops the workers at once
         for check in checks:

@@ -44,7 +44,6 @@ golden outputs are stable.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain
 from operator import mod
@@ -88,16 +87,43 @@ def _first_ground_red(text: str) -> int:
     return red
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Word:
+class _Frozen:
+    """An immutable value: equality (same class), hash, repr and ``__match_args__`` from its ``_fields``."""
+
+    __slots__ = ()
+    _fields: ClassVar[tuple[str, ...]] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__dict__.get("__match_args__", cls._fields)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(_Frozen):
     """Shared behavior of the validated word types.
 
     ``Word(text)`` takes the word's text and checks the family's
     invariants; ``text`` is the word's text.  Equality (same class, same
-    text), hashing and immutability come from the frozen dataclass.
+    text), hashing and immutability come from ``_Frozen``.
     """
 
-    __slots__ = ("text",)  # declared, not dataclass(slots=True): see TouchardDecomposition
+    __slots__ = _fields = ("text",)
     text: str
     _alphabet: ClassVar[str]  # the family's letters, in enumeration order
     _family: ClassVar[str]  # the family's name in error messages
@@ -108,6 +134,7 @@ class Word:
         _set_text(self, text)
 
     def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
         cls._foreign = str.maketrans(dict.fromkeys(cls._alphabet))
 
     @classmethod
@@ -316,6 +343,14 @@ def _size(n: int, what: str) -> None:
         raise ValueError(f"{what} must be a non-negative int, not {n!r}")
 
 
+def _iter(values: Iterable, name: str, kind: str, error: type[ValueError] = ValueError) -> Iterator:
+    """``iter(values)``, or ``error`` naming ``name`` and ``kind`` if ``values`` is not iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise error(f"{name} must be an iterable of {kind}, not a {type(values).__name__}") from None
+
+
 def _texts(cls: type[Word], size: int) -> Iterator[str]:
     """The texts of ``cls``'s words of ``size`` letters (for DyckWord, the semilength), in enumeration order.
 
@@ -424,10 +459,10 @@ class SplitMix64:
         carries into no lane's bit 64, then every d + b <= 2**64, which ``below``
         accepts, and the slice is handed out as one list of d % b.  Otherwise it is
         ``map(self.below, chunk)``, drawn lazily, so the values before a bad bound
-        still come out before its error.
+        still come out before its error; bounds that are not iterable raise ValueError at once.
         """
         if type(bounds) is not range:
-            return map(self.below, bounds)
+            return map(self.below, _iter(bounds, "bounds", "ints"))
         return chain.from_iterable(self._chunks(bounds))
 
     def _chunks(self, bounds: range) -> Iterator[Iterable[int]]:

@@ -818,6 +818,7 @@ def test_sizes_seeds_and_bounds_must_be_ints():
         "SplitMix64(0).below(7.5)": "bound must be an int, not 7.5",
         "SplitMix64(0).below(True)": "bound must be an int, not True",
         "list(SplitMix64(0).below_each([2, 7.5]))": "bound must be an int, not 7.5",
+        "SplitMix64(0).below_each(None)": "bounds must be an iterable of ints, not a NoneType",
         "list(enumerate_dyck(2.5))": "semilength must be a non-negative int, not 2.5",
         "list(enumerate_g(2.5))": "length must be a non-negative int, not 2.5",
         "list(enumerate_g_restricted('3'))": "length must be a non-negative int, not '3'",
@@ -829,9 +830,10 @@ def test_sizes_seeds_and_bounds_must_be_ints():
         "touchard_rhs(True)": "n must be a non-negative int, not True",
         "motzkin_rhs(None)": "n must be a non-negative int, not None",
         "next(g_census(2.5, 'U'))": "max_n must be a non-negative int, not 2.5",
+        "IdentityReport(0, 1, 5)": "per_k_terms must be an iterable of ints, not a int",
     }
     code = textwrap.dedent(f"""
-        from touchard import SplitMix64, enumerate_dyck, enumerate_g, enumerate_g_restricted
+        from touchard import IdentityReport, SplitMix64, enumerate_dyck, enumerate_g, enumerate_g_restricted
         from touchard import catalan, enumerate_motzkin, motzkin_count, motzkin_rhs, sample_dyck, touchard_rhs
         from touchard.counting import g_census
         for call in {list(calls)!r}:
@@ -994,6 +996,19 @@ def test_verify_closed_output_pipe_stops_every_worker():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (status, first, err) == (1, b"identity=touchard n=0 lhs=1 rhs=1 holds=true terms=1\n", b"")
+
+
+def test_start_up_imports_no_dataclasses_inspect_or_json():
+    # Most subcommands are single-shot runs, so their time is mostly start-up; these three
+    # modules (dataclasses pulls in inspect, ast, dis and tokenize) were its largest part.
+    code = textwrap.dedent("""
+        import sys
+        import touchard.cli
+
+        touchard.cli.build_parser()
+        print(sorted({"dataclasses", "inspect", "json"} & set(sys.modules)))
+    """)
+    assert run_python("-S", "-c", code) == (0, "[]\n", "")
 
 
 def test_verify_on_one_cpu_starts_no_process():

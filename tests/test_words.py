@@ -366,6 +366,13 @@ def test_below_each_is_lazy():
             next(draws)
 
 
+def test_below_each_rejects_a_non_iterable_before_drawing():
+    rng = SplitMix64(0)
+    with pytest.raises(ValueError, match=r"^bounds must be an iterable of ints, not a NoneType$"):
+        rng.below_each(None)
+    assert rng.next_uint64() == SplitMix64(0).next_uint64()
+
+
 MIXERS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 
 
