@@ -7,8 +7,10 @@ and ``sample``.  Words travel in the one-letter-per-character encoding
 
 Exit codes: 0 success, 1 verification or validation failure, 2 usage
 error, 130 interrupted (Ctrl-C) once ``main`` runs; Python itself reports
-an interrupt during start-up or the imports.  This module parses arguments and
-reads and writes lines; ``verify``'s checks live in ``touchard.verify``.
+an interrupt during start-up or this module's import.  This module parses
+arguments and reads and writes lines; ``verify``'s checks live in
+``touchard.verify``.  It imports no other package module at start-up: each
+subcommand imports the modules it runs when it runs.
 """
 
 from __future__ import annotations
@@ -18,62 +20,63 @@ import os
 import sys
 from typing import IO, Iterable
 
-from .bijections import (
-    catalan_to_g,
-    drop_restriction,
-    format_motzkin_decomposition,
-    format_touchard_decomposition,
-    g_to_catalan,
-    motzkin_merge,
-    motzkin_split,
-    pair_decode,
-    pair_encode,
-    parse_motzkin_decomposition,
-    parse_touchard_decomposition,
-    raise_restriction,
-    touchard_merge,
-    touchard_split,
-)
-from .counting import catalan, motzkin_count, motzkin_rhs, touchard_rhs
-from .render import render_ascii, render_svg, to_drawing
-from .verify import VerifyConfig, cmd_verify
-from .words import (
-    DyckWord,
-    GWord,
-    MotzkinWord,
-    RestrictedGWord,
-    _texts,
-    sample_dyck,
-    validate_dyck,
-    validate_g,
-    validate_g_restricted,
-    validate_motzkin,
-)
+MAP_DIRECTIONS = ("encode", "decode", "drop", "raise", "c2g", "g2c", "tsplit", "tmerge", "msplit", "mmerge")
+_FAMILIES = ("dyck", "g", "grestricted", "motzkin")
+_COUNT_NAMES = ("catalan", "motzkin", "touchard-rhs", "motzkin-rhs")
 
 
-_MAP_FUNCTIONS = {
-    "encode": lambda line: pair_encode(validate_dyck(line)).text,
-    "decode": lambda line: pair_decode(validate_g_restricted(line)).text,
-    "drop": lambda line: drop_restriction(validate_g_restricted(line)).text,
-    "raise": lambda line: raise_restriction(validate_g(line)).text,
-    "c2g": lambda line: catalan_to_g(validate_dyck(line)).text,
-    "g2c": lambda line: g_to_catalan(validate_g(line)).text,
-    "tsplit": lambda line: format_touchard_decomposition(
-        touchard_split(validate_g(line))
-    ),
-    "tmerge": lambda line: touchard_merge(parse_touchard_decomposition(line)).text,
-    "msplit": lambda line: format_motzkin_decomposition(
-        motzkin_split(validate_g(line))
-    ),
-    "mmerge": lambda line: motzkin_merge(parse_motzkin_decomposition(line)).text,
-}
+def __getattr__(name: str):
+    """``VerifyConfig`` and ``cmd_verify`` from ``touchard.verify``, and ``_MAP_FUNCTIONS``, on first use."""
+    if name in ("VerifyConfig", "cmd_verify"):
+        from . import verify
+        value = globals()[name] = getattr(verify, name)
+        return value
+    if name == "_MAP_FUNCTIONS":
+        return _map_functions()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-MAP_DIRECTIONS = tuple(_MAP_FUNCTIONS)
+
+def _map_functions() -> dict:
+    """Each direction's line function, bound to the maps the modules hold now."""
+    from .bijections import (
+        catalan_to_g,
+        drop_restriction,
+        format_motzkin_decomposition,
+        format_touchard_decomposition,
+        g_to_catalan,
+        motzkin_merge,
+        motzkin_split,
+        pair_decode,
+        pair_encode,
+        parse_motzkin_decomposition,
+        parse_touchard_decomposition,
+        raise_restriction,
+        touchard_merge,
+        touchard_split,
+    )
+    from .words import validate_dyck, validate_g, validate_g_restricted
+
+    return {
+        "encode": lambda line: pair_encode(validate_dyck(line)).text,
+        "decode": lambda line: pair_decode(validate_g_restricted(line)).text,
+        "drop": lambda line: drop_restriction(validate_g_restricted(line)).text,
+        "raise": lambda line: raise_restriction(validate_g(line)).text,
+        "c2g": lambda line: catalan_to_g(validate_dyck(line)).text,
+        "g2c": lambda line: g_to_catalan(validate_g(line)).text,
+        "tsplit": lambda line: format_touchard_decomposition(
+            touchard_split(validate_g(line))
+        ),
+        "tmerge": lambda line: touchard_merge(parse_touchard_decomposition(line)).text,
+        "msplit": lambda line: format_motzkin_decomposition(
+            motzkin_split(validate_g(line))
+        ),
+        "mmerge": lambda line: motzkin_merge(parse_motzkin_decomposition(line)).text,
+    }
 
 
 def cmd_map(direction: str, lines: Iterable[str], out: IO[str], err: IO[str]) -> int:
     """Apply one bijection per input line; failed lines go to ``err``."""
-    apply = _MAP_FUNCTIONS[direction]
+    apply = _map_functions()[direction]
     status = 0
     for number, line in enumerate(lines, start=1):
         try:
@@ -84,7 +87,10 @@ def cmd_map(direction: str, lines: Iterable[str], out: IO[str], err: IO[str]) ->
     return status
 
 
-_ENUMERATED = {"dyck": DyckWord, "g": GWord, "grestricted": RestrictedGWord, "motzkin": MotzkinWord}
+def _families() -> dict:
+    from .words import DyckWord, GWord, MotzkinWord, RestrictedGWord
+
+    return {"dyck": DyckWord, "g": GWord, "grestricted": RestrictedGWord, "motzkin": MotzkinWord}
 
 
 def cmd_enumerate(kind: str, length: int, count_only: bool, out: IO[str]) -> int:
@@ -92,7 +98,9 @@ def cmd_enumerate(kind: str, length: int, count_only: bool, out: IO[str]) -> int
 
     The lines are ``_texts``' texts, written as they come: no word object is made.
     """
-    texts = _texts(_ENUMERATED[kind], length)
+    from .words import _texts
+
+    texts = _texts(_families()[kind], length)
     if count_only:
         out.write(f"{sum(1 for _ in texts)}\n")
     else:
@@ -101,22 +109,28 @@ def cmd_enumerate(kind: str, length: int, count_only: bool, out: IO[str]) -> int
     return 0
 
 
-_COUNTS = {
-    "catalan": lambda n: str(catalan(n)),
-    "motzkin": lambda n: str(motzkin_count(n)),
-    "touchard-rhs": lambda n: touchard_rhs(n).format_line(),
-    "motzkin-rhs": lambda n: motzkin_rhs(n).format_line(),
-}
+def _counts() -> dict:
+    from .counting import catalan, motzkin_count, motzkin_rhs, touchard_rhs
+
+    return {
+        "catalan": lambda n: str(catalan(n)),
+        "motzkin": lambda n: str(motzkin_count(n)),
+        "touchard-rhs": lambda n: touchard_rhs(n).format_line(),
+        "motzkin-rhs": lambda n: motzkin_rhs(n).format_line(),
+    }
 
 
 def cmd_count(which: str, n: int, out: IO[str]) -> int:
     """Print one exact number or one identity-report line."""
-    out.write(_COUNTS[which](n) + "\n")
+    out.write(_counts()[which](n) + "\n")
     return 0
 
 
 def cmd_render(fmt: str, line: str, unit: int, out: IO[str]) -> int:
     """Draw one word as ASCII art or as an SVG document."""
+    from .render import render_ascii, render_svg, to_drawing
+    from .words import validate_g, validate_motzkin
+
     drawing = to_drawing(validate_motzkin(line) if "H" in line else validate_g(line))
     if fmt == "ascii":
         out.write(render_ascii(drawing) + "\n")
@@ -131,9 +145,13 @@ def cmd_sample(kind: str, length: int, seed: int, out: IO[str]) -> int:
     G-words are drawn as ``catalan_to_g`` of a uniform Dyck word; the
     map is a bijection, so the result is uniform too.
     """
+    from .words import sample_dyck
+
     if kind == "dyck":
         out.write(f"{sample_dyck(length, seed)}\n")
     else:
+        from .bijections import catalan_to_g
+
         out.write(f"{catalan_to_g(sample_dyck(length + 1, seed))}\n")
     return 0
 
@@ -156,6 +174,13 @@ _positive = _int_in(1, float("inf"), "must be positive")
 _seed = _int_in(0, 1 << 64, "seed must fit in 64 unsigned bits")
 
 
+def _run_verify(a: argparse.Namespace) -> int:
+    from .verify import VerifyConfig, cmd_verify
+
+    config = VerifyConfig(a.max_identity_n, a.max_census_n, a.max_roundtrip_len, a.format)
+    return cmd_verify(config, sys.stdout, sys.stderr)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="touchard",
@@ -164,14 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check identities, round trips, and censuses")
-    default = VerifyConfig()
-    p.add_argument("--max-identity-n", type=_nonneg, default=default.max_identity_n)
-    p.add_argument("--max-census-n", type=_nonneg, default=default.max_census_n)
-    p.add_argument("--max-roundtrip-len", type=_nonneg, default=default.max_roundtrip_len)
-    p.add_argument("--format", choices=("text", "ndjson"), default=default.output_format)
-    p.set_defaults(run=lambda a: cmd_verify(
-        VerifyConfig(a.max_identity_n, a.max_census_n, a.max_roundtrip_len, a.format), sys.stdout, sys.stderr
-    ))
+    p.add_argument("--max-identity-n", type=_nonneg, default=200)
+    p.add_argument("--max-census-n", type=_nonneg, default=9)
+    p.add_argument("--max-roundtrip-len", type=_nonneg, default=10)
+    p.add_argument("--format", choices=("text", "ndjson"), default="text")
+    p.set_defaults(run=_run_verify)
 
     p = sub.add_parser("map", help="apply a bijection to each input line")
     p.add_argument("direction", choices=MAP_DIRECTIONS)
@@ -181,14 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
     ))
 
     p = sub.add_parser("enumerate", help="list all words of a family")
-    p.add_argument("kind", choices=tuple(_ENUMERATED))
+    p.add_argument("kind", choices=_FAMILIES)
     p.add_argument("--length", type=_nonneg, required=True,
                    help="word length (semilength for dyck)")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(run=lambda a: cmd_enumerate(a.kind, a.length, a.count_only, sys.stdout))
 
     p = sub.add_parser("count", help="exact counts and identity reports")
-    p.add_argument("which", choices=tuple(_COUNTS))
+    p.add_argument("which", choices=_COUNT_NAMES)
     p.add_argument("n", type=_nonneg)
     p.set_defaults(run=lambda a: cmd_count(a.which, a.n, sys.stdout))
 

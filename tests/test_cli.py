@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -1000,15 +1001,56 @@ def test_verify_closed_output_pipe_stops_every_worker():
 
 def test_start_up_imports_no_dataclasses_inspect_or_json():
     # Most subcommands are single-shot runs, so their time is mostly start-up; these three
-    # modules (dataclasses pulls in inspect, ast, dis and tokenize) were its largest part.
+    # modules (dataclasses pulls in inspect, ast, dis and tokenize) were its largest part,
+    # and after them loading (and, without cached bytecode, compiling) every package module.
     code = textwrap.dedent("""
         import sys
         import touchard.cli
 
         touchard.cli.build_parser()
         print(sorted({"dataclasses", "inspect", "json"} & set(sys.modules)))
+        print(sorted(name for name in sys.modules if name.startswith("touchard")))
     """)
-    assert run_python("-S", "-c", code) == (0, "[]\n", "")
+    assert run_python("-S", "-c", code) == (0, "[]\n['touchard', 'touchard.cli']\n", "")
+
+
+# One run of each subcommand, of each map direction and of each count, with the
+# package modules it loads besides ``touchard`` itself.
+SUBCOMMAND_RUNS = [
+    (["verify", "--max-identity-n", "3", "--max-census-n", "3", "--max-roundtrip-len", "3"],
+     "bijections counting verify words"),
+    *((["map", direction, "--word", word], "bijections words") for direction, word in (
+        ("encode", "UUDUDD"), ("decode", "URD"), ("drop", "URD"), ("raise", "URGD"), ("c2g", "UUDUDD"),
+        ("g2c", "URGD"), ("tsplit", "URGD"), ("tmerge", "positions=[1,4];core=UD;colors=10"),
+        ("msplit", "URGD"), ("mmerge", "red=[2];core=UHD"),
+    )),
+    (["enumerate", "motzkin", "--length", "4"], "words"),
+    *((["count", which, "12"], "counting words") for which in ("catalan", "motzkin", "touchard-rhs", "motzkin-rhs")),
+    (["render", "--word", "UGRD"], "render words"),
+    (["render", "--format", "svg", "--word", "UHD"], "render words"),
+    (["sample", "dyck", "--length", "5", "--seed", "3"], "words"),
+    (["sample", "g", "--length", "5", "--seed", "3"], "bijections words"),
+]
+
+
+@pytest.mark.parametrize("argv, modules", SUBCOMMAND_RUNS, ids=[" ".join(argv) for argv, _ in SUBCOMMAND_RUNS])
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, modules, capsys):
+    # In-process, every module is already loaded, so a missing import inside a subcommand
+    # would not show; here ``python -m touchard.cli`` starts with only the package, and
+    # -X importtime lists on stderr each module it goes on to load.
+    status, out, err = run_python("-X", "importtime", "-m", "touchard.cli", *argv)
+    loaded = re.findall(r"^import time:.*\| +(touchard\S*)$", err, re.MULTILINE)
+    other = [line for line in err.splitlines() if not line.startswith("import time:")]
+    assert (status, out, other) == (*run(argv, capsys)[:2], [])
+    assert sorted(loaded) == ["touchard", *(f"touchard.{module}" for module in modules.split())]
+
+
+def test_parser_choices_are_the_keys_of_the_tables_they_select_from():
+    from touchard import cli
+
+    assert cli.MAP_DIRECTIONS == tuple(cli._MAP_FUNCTIONS)
+    assert cli._FAMILIES == tuple(cli._families())
+    assert cli._COUNT_NAMES == tuple(cli._counts())
 
 
 def test_verify_on_one_cpu_starts_no_process():
