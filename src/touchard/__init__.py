@@ -12,8 +12,6 @@ Each public name, and each of those modules, loads on first use (PEP 562):
 its subcommand needs.  ``touchard.X`` is ``touchard.<module>.X``.
 """
 
-from importlib import import_module as _import_module
-
 __version__ = "0.1.0"
 
 _PUBLIC = {
@@ -40,11 +38,15 @@ __all__ = [*_MODULE_OF, *_PUBLIC]
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
-        return _import_module(f"{__name__}.{name}")
-    if name not in _MODULE_OF:
+    module = name if name in _MODULES else _MODULE_OF.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(_import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    # ``__import__``, not ``importlib.import_module``: ``-X importtime`` reports only the former's loads.
+    # Loading the submodule binds it here.
+    __import__(f"{__name__}.{module}")
+    if module == name:
+        return globals()[name]
+    value = globals()[name] = getattr(globals()[module], name)
     return value
 
 

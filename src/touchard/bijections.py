@@ -266,9 +266,6 @@ class TouchardDecomposition(_Frozen):
         _set_colors(decomposition, colors)
         return decomposition
 
-    def __reduce__(self):  # pickled and copied through the validating constructor, as words are
-        return type(self), (self.positions, self.core, self.colors)
-
 
 # The slots' own setters, past the frozen __setattr__.
 _set_positions = TouchardDecomposition.positions.__set__
@@ -308,9 +305,6 @@ class MotzkinDecomposition(_Frozen):
         _set_red_positions(decomposition, red_positions)
         _set_motzkin_core(decomposition, core)
         return decomposition
-
-    def __reduce__(self):
-        return type(self), (self.red_positions, self.core)
 
 
 _set_red_positions = MotzkinDecomposition.red_positions.__set__

@@ -9,8 +9,10 @@ Exit codes: 0 success, 1 verification or validation failure, 2 usage
 error, 130 interrupted (Ctrl-C) once ``main`` runs; Python itself reports
 an interrupt during start-up or this module's import.  This module parses
 arguments and reads and writes lines; ``verify``'s checks live in
-``touchard.verify``.  It imports no other package module at start-up: each
-subcommand imports the modules it runs when it runs.
+``touchard.verify``.  It imports no other package module at start-up:
+each subcommand names the package functions it runs in a table (which is
+also its parser's choices) and reads them from ``touchard`` when it runs,
+so the package's own table alone says which module holds each name.
 """
 
 from __future__ import annotations
@@ -18,65 +20,50 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
-MAP_DIRECTIONS = ("encode", "decode", "drop", "raise", "c2g", "g2c", "tsplit", "tmerge", "msplit", "mmerge")
-_FAMILIES = ("dyck", "g", "grestricted", "motzkin")
-_COUNT_NAMES = ("catalan", "motzkin", "touchard-rhs", "motzkin-rhs")
+import touchard
+
+# Each direction's line reader, map and image writer, by their package names;
+# without a writer the image's text is written.
+_MAPS = {
+    "encode": ("validate_dyck", "pair_encode", None),
+    "decode": ("validate_g_restricted", "pair_decode", None),
+    "drop": ("validate_g_restricted", "drop_restriction", None),
+    "raise": ("validate_g", "raise_restriction", None),
+    "c2g": ("validate_dyck", "catalan_to_g", None),
+    "g2c": ("validate_g", "g_to_catalan", None),
+    "tsplit": ("validate_g", "touchard_split", "format_touchard_decomposition"),
+    "tmerge": ("parse_touchard_decomposition", "touchard_merge", None),
+    "msplit": ("validate_g", "motzkin_split", "format_motzkin_decomposition"),
+    "mmerge": ("parse_motzkin_decomposition", "motzkin_merge", None),
+}
+MAP_DIRECTIONS = tuple(_MAPS)
+_FAMILIES = {"dyck": "DyckWord", "g": "GWord", "grestricted": "RestrictedGWord", "motzkin": "MotzkinWord"}
+_COUNTS = {"catalan": "catalan", "motzkin": "motzkin_count", "touchard-rhs": "touchard_rhs",
+           "motzkin-rhs": "motzkin_rhs"}
 
 
 def __getattr__(name: str):
-    """``VerifyConfig`` and ``cmd_verify`` from ``touchard.verify``, and ``_MAP_FUNCTIONS``, on first use."""
+    """``VerifyConfig`` and ``cmd_verify`` from ``touchard.verify``, on first use."""
     if name in ("VerifyConfig", "cmd_verify"):
         from . import verify
         value = globals()[name] = getattr(verify, name)
         return value
-    if name == "_MAP_FUNCTIONS":
-        return _map_functions()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _map_functions() -> dict:
-    """Each direction's line function, bound to the maps the modules hold now."""
-    from .bijections import (
-        catalan_to_g,
-        drop_restriction,
-        format_motzkin_decomposition,
-        format_touchard_decomposition,
-        g_to_catalan,
-        motzkin_merge,
-        motzkin_split,
-        pair_decode,
-        pair_encode,
-        parse_motzkin_decomposition,
-        parse_touchard_decomposition,
-        raise_restriction,
-        touchard_merge,
-        touchard_split,
-    )
-    from .words import validate_dyck, validate_g, validate_g_restricted
-
-    return {
-        "encode": lambda line: pair_encode(validate_dyck(line)).text,
-        "decode": lambda line: pair_decode(validate_g_restricted(line)).text,
-        "drop": lambda line: drop_restriction(validate_g_restricted(line)).text,
-        "raise": lambda line: raise_restriction(validate_g(line)).text,
-        "c2g": lambda line: catalan_to_g(validate_dyck(line)).text,
-        "g2c": lambda line: g_to_catalan(validate_g(line)).text,
-        "tsplit": lambda line: format_touchard_decomposition(
-            touchard_split(validate_g(line))
-        ),
-        "tmerge": lambda line: touchard_merge(parse_touchard_decomposition(line)).text,
-        "msplit": lambda line: format_motzkin_decomposition(
-            motzkin_split(validate_g(line))
-        ),
-        "mmerge": lambda line: motzkin_merge(parse_motzkin_decomposition(line)).text,
-    }
+def _line_function(direction: str) -> Callable[[str], str]:
+    """``direction``'s line function, bound to the functions the package holds now."""
+    read, apply, write = (getattr(touchard, name) if name else None for name in _MAPS[direction])
+    if write is None:
+        return lambda line: apply(read(line)).text
+    return lambda line: write(apply(read(line)))
 
 
 def cmd_map(direction: str, lines: Iterable[str], out: IO[str], err: IO[str]) -> int:
     """Apply one bijection per input line; failed lines go to ``err``."""
-    apply = _map_functions()[direction]
+    apply = _line_function(direction)
     status = 0
     for number, line in enumerate(lines, start=1):
         try:
@@ -87,12 +74,6 @@ def cmd_map(direction: str, lines: Iterable[str], out: IO[str], err: IO[str]) ->
     return status
 
 
-def _families() -> dict:
-    from .words import DyckWord, GWord, MotzkinWord, RestrictedGWord
-
-    return {"dyck": DyckWord, "g": GWord, "grestricted": RestrictedGWord, "motzkin": MotzkinWord}
-
-
 def cmd_enumerate(kind: str, length: int, count_only: bool, out: IO[str]) -> int:
     """List every word of the family (for dyck, ``length`` is the semilength).
 
@@ -100,7 +81,7 @@ def cmd_enumerate(kind: str, length: int, count_only: bool, out: IO[str]) -> int
     """
     from .words import _texts
 
-    texts = _texts(_families()[kind], length)
+    texts = _texts(getattr(touchard, _FAMILIES[kind]), length)
     if count_only:
         out.write(f"{sum(1 for _ in texts)}\n")
     else:
@@ -109,33 +90,20 @@ def cmd_enumerate(kind: str, length: int, count_only: bool, out: IO[str]) -> int
     return 0
 
 
-def _counts() -> dict:
-    from .counting import catalan, motzkin_count, motzkin_rhs, touchard_rhs
-
-    return {
-        "catalan": lambda n: str(catalan(n)),
-        "motzkin": lambda n: str(motzkin_count(n)),
-        "touchard-rhs": lambda n: touchard_rhs(n).format_line(),
-        "motzkin-rhs": lambda n: motzkin_rhs(n).format_line(),
-    }
-
-
 def cmd_count(which: str, n: int, out: IO[str]) -> int:
     """Print one exact number or one identity-report line."""
-    out.write(_counts()[which](n) + "\n")
+    value = getattr(touchard, _COUNTS[which])(n)
+    out.write((str(value) if isinstance(value, int) else value.format_line()) + "\n")
     return 0
 
 
 def cmd_render(fmt: str, line: str, unit: int, out: IO[str]) -> int:
     """Draw one word as ASCII art or as an SVG document."""
-    from .render import render_ascii, render_svg, to_drawing
-    from .words import validate_g, validate_motzkin
-
-    drawing = to_drawing(validate_motzkin(line) if "H" in line else validate_g(line))
+    drawing = touchard.to_drawing(touchard.validate_motzkin(line) if "H" in line else touchard.validate_g(line))
     if fmt == "ascii":
-        out.write(render_ascii(drawing) + "\n")
+        out.write(touchard.render_ascii(drawing) + "\n")
     else:
-        out.write(render_svg(drawing, unit) + "\n")
+        out.write(touchard.render_svg(drawing, unit) + "\n")
     return 0
 
 
@@ -145,14 +113,10 @@ def cmd_sample(kind: str, length: int, seed: int, out: IO[str]) -> int:
     G-words are drawn as ``catalan_to_g`` of a uniform Dyck word; the
     map is a bijection, so the result is uniform too.
     """
-    from .words import sample_dyck
-
     if kind == "dyck":
-        out.write(f"{sample_dyck(length, seed)}\n")
+        out.write(f"{touchard.sample_dyck(length, seed)}\n")
     else:
-        from .bijections import catalan_to_g
-
-        out.write(f"{catalan_to_g(sample_dyck(length + 1, seed))}\n")
+        out.write(f"{touchard.catalan_to_g(touchard.sample_dyck(length + 1, seed))}\n")
     return 0
 
 
@@ -196,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_verify)
 
     p = sub.add_parser("map", help="apply a bijection to each input line")
-    p.add_argument("direction", choices=MAP_DIRECTIONS)
+    p.add_argument("direction", choices=_MAPS)
     p.add_argument("--word", help="single input line (default: read stdin)")
     p.set_defaults(run=lambda a: cmd_map(
         a.direction, [a.word] if a.word is not None else sys.stdin, sys.stdout, sys.stderr
@@ -210,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=lambda a: cmd_enumerate(a.kind, a.length, a.count_only, sys.stdout))
 
     p = sub.add_parser("count", help="exact counts and identity reports")
-    p.add_argument("which", choices=_COUNT_NAMES)
+    p.add_argument("which", choices=_COUNTS)
     p.add_argument("n", type=_nonneg)
     p.set_defaults(run=lambda a: cmd_count(a.which, a.n, sys.stdout))
 

@@ -88,7 +88,10 @@ def _first_ground_red(text: str) -> int:
 
 
 class _Frozen:
-    """An immutable value: equality (same class), hash, repr and ``__match_args__`` from its ``_fields``."""
+    """An immutable value: equality (same class), hash, repr and ``__match_args__`` from its ``_fields``.
+
+    ``__match_args__`` are also its constructor's arguments, so a copy or a pickle is checked as it is built.
+    """
 
     __slots__ = ()
     _fields: ClassVar[tuple[str, ...]] = ()
@@ -114,6 +117,9 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
 
 class Word(_Frozen):
     """Shared behavior of the validated word types.
@@ -130,6 +136,8 @@ class Word(_Frozen):
     _foreign: ClassVar[dict[int, None]]  # a str.translate table deleting the family's letters
 
     def __init__(self, text: str) -> None:
+        if self.__class__ is Word:
+            raise WordError("Word has no family: build a DyckWord, GWord, RestrictedGWord or MotzkinWord")
         self._check(text)
         _set_text(self, text)
 
@@ -186,9 +194,6 @@ class Word(_Frozen):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.text!r})"
-
-    def __reduce__(self):
-        return type(self), (self.text,)
 
 
 _new = object.__new__

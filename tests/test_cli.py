@@ -1045,14 +1045,6 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, modules, capsys):
     assert sorted(loaded) == ["touchard", *(f"touchard.{module}" for module in modules.split())]
 
 
-def test_parser_choices_are_the_keys_of_the_tables_they_select_from():
-    from touchard import cli
-
-    assert cli.MAP_DIRECTIONS == tuple(cli._MAP_FUNCTIONS)
-    assert cli._FAMILIES == tuple(cli._families())
-    assert cli._COUNT_NAMES == tuple(cli._counts())
-
-
 def test_verify_on_one_cpu_starts_no_process():
     code = textwrap.dedent("""
         import os, sys

@@ -46,7 +46,7 @@ from touchard import (
     validate_g_restricted,
     validate_motzkin,
 )
-from touchard.cli import _MAP_FUNCTIONS, MAP_DIRECTIONS
+from touchard.cli import MAP_DIRECTIONS, _line_function
 from touchard.words import STEP, _completions, _paths
 
 ENUMERATORS = {
@@ -215,7 +215,7 @@ def map_inputs():
 
 @pytest.mark.parametrize("direction", MAP_DIRECTIONS)
 def test_map_directions_match_reference(direction):
-    apply = _MAP_FUNCTIONS[direction]
+    apply = _line_function(direction)
     for line in map_inputs():
         assert outcome(apply, line) == outcome(ref.map_line, direction, line), line
 

@@ -19,7 +19,8 @@ from typing import NamedTuple
 import pytest
 
 from cli_support import pin_cpus
-from touchard import GWord, bijections, cli
+import touchard
+from touchard import GWord, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "tests" / "golden.txt"
@@ -107,11 +108,11 @@ def test_the_workflow_holds_no_digest():
 
 
 def test_a_one_byte_change_to_a_map_fails_its_pin(monkeypatch):
-    # cmd_map binds its line function when it runs, so it reads the patched formatter.
+    # cmd_map reads its functions from the package when it runs, so it reads the patched formatter.
     first = run("g10")[1].split("\n", 1)[0]
-    split = bijections.touchard_split(GWord(first))
-    real = bijections.format_touchard_decomposition
-    monkeypatch.setattr(bijections, "format_touchard_decomposition",
+    split = touchard.touchard_split(GWord(first))
+    real = touchard.format_touchard_decomposition
+    monkeypatch.setattr(touchard, "format_touchard_decomposition",
                         lambda d: real(d) + ("0" if d == split else ""))
     status, out, err = execute("tsplit10")
     assert (status, err, len(out)) == (0, "", len(run("tsplit10")[1]) + 1)

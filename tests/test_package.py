@@ -1,6 +1,7 @@
 """The package namespace: its names load their modules on first use and are the names it always had."""
 
 import pickle
+import re
 import sys
 import textwrap
 import types
@@ -51,6 +52,13 @@ def test_each_public_name_is_its_modules_object():
         else:
             assert value.__module__.startswith("touchard."), name
             assert value is getattr(sys.modules[value.__module__], name), name
+
+
+def test_the_first_use_of_a_name_is_reported_as_its_modules_import():
+    # -X importtime lists what import statements and __import__ load, not importlib.import_module.
+    status, out, err = run_python("-X", "importtime", "-c", "import touchard; touchard.catalan")
+    loaded = re.findall(r"^import time:.*\| +(touchard\S*)$", err, re.MULTILINE)
+    assert (status, out, sorted(loaded)) == (0, "", ["touchard", "touchard.counting", "touchard.words"])
 
 
 def test_an_unknown_name_raises_attribute_error_naming_it():

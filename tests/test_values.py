@@ -80,3 +80,24 @@ def test_value_class(name):
         assert type(clone) is type(value) and clone == value and hash(clone) == hash(value)
         assert repr(clone) == text
 
+
+
+CLONES = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda value: pickle.loads(pickle.dumps(value))}
+
+
+def altered(value, **fields):
+    """``value`` with ``fields`` written past its frozen ``__setattr__``, as a tampered pickle would restore them."""
+    value.__dict__.update(fields)
+    return value
+
+
+@pytest.mark.parametrize("clone", CLONES)
+def test_copies_and_pickles_are_built_by_the_checking_constructor(clone):
+    clone = CLONES[clone]
+    with pytest.raises(ValueError, match="falls below the axis at step 1"):
+        clone(altered(PathDrawing([UP, DOWN]), steps=(DOWN, UP)))
+    with pytest.raises(ValueError, match="max_census_n must be a non-negative int, not -1"):
+        clone(altered(VerifyConfig(), max_census_n=-1))
+    # The report's rhs and holds are derived again from the fields it is built from.
+    report = clone(altered(touchard_rhs(3), lhs=15))
+    assert (report.lhs, report.rhs, report.holds) == (15, 14, False)

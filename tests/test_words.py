@@ -20,6 +20,7 @@ from touchard import (
     RedZeroAtGroundLevel,
     RestrictedGWord,
     SplitMix64,
+    Word,
     WordError,
     catalan,
     enumerate_dyck,
@@ -114,6 +115,12 @@ def test_direct_construction_checks_in_debug():
         GWord("DU")
     with pytest.raises(RedZeroAtGroundLevel):
         RestrictedGWord("R")
+
+
+def test_the_word_base_class_has_no_family():
+    for text in ("UD", "", None):
+        with pytest.raises(WordError, match="no family: build a DyckWord, GWord, RestrictedGWord or MotzkinWord"):
+            Word(text)
 
 
 def test_words_are_hashable_and_type_distinct():
